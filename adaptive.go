@@ -1,7 +1,6 @@
 package tierdb
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -10,7 +9,6 @@ import (
 	"tierdb/internal/core"
 	"tierdb/internal/metrics"
 	"tierdb/internal/obsrv"
-	"tierdb/internal/table"
 	"tierdb/internal/workload"
 )
 
@@ -295,10 +293,6 @@ func (s *adaptiveScheduler) adaptTable(t *Table, cycle uint64) AdaptiveDecision 
 	}
 	flipBack := st.prevLayout != nil && equalLayout(alloc.InDRAM, st.prevLayout)
 	if err := t.ApplyLayout(Layout{InDRAM: alloc.InDRAM}); err != nil {
-		if errors.Is(err, table.ErrMergeInProgress) {
-			d.Action, d.Reason = "skipped", "online merge in flight"
-			return d
-		}
 		d.Action, d.Reason = "error", err.Error()
 		return d
 	}

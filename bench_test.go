@@ -505,15 +505,11 @@ func BenchmarkAblationSSCGVsDSM(b *testing.B) {
 		rows[r] = row
 	}
 
-	rowClock := &storage.Clock{}
-	rowGroup, err := sscg.Build(fields, rows,
-		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock, 1), nil)
+	rowGroup, err := sscg.Build(fields, rows, storage.NewMemStore(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dsmClock := &storage.Clock{}
-	dsmGroup, err := dsm.Build(fields, rows,
-		storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock, 1), nil)
+	dsmGroup, err := dsm.Build(fields, rows, storage.NewMemStore(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,30 +518,22 @@ func BenchmarkAblationSSCGVsDSM(b *testing.B) {
 	var scanRatio, recRatio float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rowClock.Reset()
-		if _, err := rowGroup.Scan(5, pred, nil, nil); err != nil {
+		var sscgScan, dsmScan, sscgRec, dsmRec storage.Ledger
+		if _, err := rowGroup.ScanRows(&sscgScan, 5, pred, 0, rowGroup.Rows(), nil, nil); err != nil {
 			b.Fatal(err)
 		}
-		sscgScan := rowClock.Reads()
-		dsmClock.Reset()
-		if _, err := dsmGroup.Scan(5, pred, nil, nil); err != nil {
+		if _, err := dsmGroup.Scan(&dsmScan, 5, pred, nil, nil); err != nil {
 			b.Fatal(err)
 		}
-		dsmScan := dsmClock.Reads()
+		if _, err := rowGroup.FetchRow(&sscgRec, 12345); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dsmGroup.ReadRow(&dsmRec, 12345); err != nil {
+			b.Fatal(err)
+		}
 
-		rowClock.Reset()
-		if _, err := rowGroup.ReadRow(12345); err != nil {
-			b.Fatal(err)
-		}
-		sscgRec := rowClock.Reads()
-		dsmClock.Reset()
-		if _, err := dsmGroup.ReadRow(12345); err != nil {
-			b.Fatal(err)
-		}
-		dsmRec := dsmClock.Reads()
-
-		scanRatio = float64(sscgScan) / float64(dsmScan)
-		recRatio = float64(dsmRec) / float64(sscgRec)
+		scanRatio = float64(sscgScan.PageReads) / float64(dsmScan.PageReads)
+		recRatio = float64(dsmRec.PageReads) / float64(sscgRec.PageReads)
 	}
 	b.ReportMetric(scanRatio, "scan_sscg_vs_dsm_x")
 	b.ReportMetric(recRatio, "reconstruct_dsm_vs_sscg_x")

@@ -3,12 +3,11 @@ package tierdb
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"tierdb/internal/device"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/persist"
 	"tierdb/internal/schema"
+	"tierdb/internal/storage"
 	"tierdb/internal/table"
 	"tierdb/internal/wal"
 )
@@ -94,9 +93,11 @@ func (db *DB) recover(fs wal.FS, dir string) error {
 	if db.registry != nil {
 		db.registry.Counter("wal.replayed_records").Add(int64(stats.Records))
 		db.registry.Counter("wal.replayed_bytes").Add(stats.Bytes)
-		// Modeled, deterministic recovery time: DRAM sequential read of
-		// the replayed log bytes (single threaded, as replay is).
-		db.registry.Counter("wal.recovery_ns").Add(int64(device.DRAM.SequentialReadTime(stats.Bytes, 1) / time.Nanosecond))
+		// Modeled, deterministic recovery time: one DRAM sequential
+		// stream over the replayed log bytes (single threaded, as replay
+		// is).
+		replay := storage.Ledger{SeqStreams: 1, SeqBytes: stats.Bytes}
+		db.registry.Counter("wal.recovery_ns").Add(int64(storage.Price(db.profile, 1, replay).DRAM))
 	}
 	return nil
 }

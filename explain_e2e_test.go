@@ -114,7 +114,7 @@ func TestExplainEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan trace id %q: %v", plan.TraceID, err)
 	}
-	spans := db.Tracer().Ring().ByTrace(id)
+	spans := trace.ByTrace(db.Tracer().Ring(), id)
 	if len(spans) == 0 {
 		t.Fatalf("no spans for trace %s", plan.TraceID)
 	}

@@ -135,19 +135,10 @@ func (c *Cache) Stats() Stats {
 // Get returns the cached page contents, faulting it in from backing
 // storage on a miss, and pins the frame. The returned slice aliases the
 // frame buffer and is valid until Release; callers must not write to it.
-// The boolean reports whether the access was a hit.
+// The boolean reports whether the access was a hit: only the caller
+// whose call performed the fault IO sees a miss, so counting misses
+// counts device reads exactly once.
 func (c *Cache) Get(id storage.PageID) ([]byte, bool, error) {
-	return c.GetVia(id, nil)
-}
-
-// GetVia is Get with the fault IO routed through the given store
-// (nil selects the cache's backing store). Parallel scan workers pass
-// per-worker timed views of the same device so that fault latencies are
-// charged to per-worker clocks; the cached frames stay shared.
-func (c *Cache) GetVia(id storage.PageID, backing storage.Store) ([]byte, bool, error) {
-	if backing == nil {
-		backing = c.backing
-	}
 	c.mu.Lock()
 	for {
 		fi, ok := c.index[id]
@@ -191,7 +182,7 @@ func (c *Cache) GetVia(id storage.PageID, backing storage.Store) ([]byte, bool, 
 	if c.hFault != nil {
 		faultStart = time.Now()
 	}
-	rerr := backing.ReadPage(id, f.data)
+	rerr := c.backing.ReadPage(id, f.data)
 	if c.hFault != nil {
 		c.hFault.Observe(time.Since(faultStart).Nanoseconds())
 	}

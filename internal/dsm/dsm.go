@@ -130,11 +130,16 @@ func (g *Group) FieldPageCount(field int) int {
 // reconstruction needs: one per attribute (the DSM weakness).
 func (g *Group) PagesPerReconstruction() int { return len(g.fields) }
 
-func (g *Group) readPage(id storage.PageID, fn func(data []byte) error) error {
+// readPage passes a page's content to fn, counting a device read in led
+// (may be nil) unless the cache served it, exactly like the SSCG.
+func (g *Group) readPage(led *storage.Ledger, id storage.PageID, fn func(data []byte) error) error {
 	if g.cache != nil {
-		data, _, err := g.cache.Get(id)
+		data, hit, err := g.cache.Get(id)
 		if err != nil {
 			return err
+		}
+		if !hit && led != nil {
+			led.PageReads++
 		}
 		defer g.cache.Release(id)
 		return fn(data)
@@ -144,12 +149,15 @@ func (g *Group) readPage(id storage.PageID, fn func(data []byte) error) error {
 	if err := g.store.ReadPage(id, *bufp); err != nil {
 		return err
 	}
+	if led != nil {
+		led.PageReads++
+	}
 	return fn(*bufp)
 }
 
 // ReadField reads one cell: a single page access within the field's
 // run.
-func (g *Group) ReadField(row, field int) (value.Value, error) {
+func (g *Group) ReadField(led *storage.Ledger, row, field int) (value.Value, error) {
 	if row < 0 || row >= g.rows {
 		return value.Value{}, fmt.Errorf("dsm: row %d out of range (%d)", row, g.rows)
 	}
@@ -162,7 +170,7 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 	pageIdx := row / per
 	off := (row % per) * slot
 	var out value.Value
-	err := g.readPage(g.pages[field][pageIdx], func(data []byte) error {
+	err := g.readPage(led, g.pages[field][pageIdx], func(data []byte) error {
 		v, err := value.DecodeFixed(fd.Type, data[off:off+slot])
 		out = v
 		return err
@@ -171,13 +179,13 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 }
 
 // ReadRow reconstructs a full row: one page access per attribute.
-func (g *Group) ReadRow(row int) ([]value.Value, error) {
+func (g *Group) ReadRow(led *storage.Ledger, row int) ([]value.Value, error) {
 	if row < 0 || row >= g.rows {
 		return nil, fmt.Errorf("dsm: row %d out of range (%d)", row, g.rows)
 	}
 	out := make([]value.Value, len(g.fields))
 	for f := range g.fields {
-		v, err := g.ReadField(row, f)
+		v, err := g.ReadField(led, row, f)
 		if err != nil {
 			return nil, err
 		}
@@ -188,7 +196,7 @@ func (g *Group) ReadRow(row int) ([]value.Value, error) {
 
 // Scan evaluates pred over one field, touching only that field's page
 // run (the DSM strength).
-func (g *Group) Scan(field int, pred func(value.Value) bool, out []uint32, skip func(int) bool) ([]uint32, error) {
+func (g *Group) Scan(led *storage.Ledger, field int, pred func(value.Value) bool, out []uint32, skip func(int) bool) ([]uint32, error) {
 	if field < 0 || field >= len(g.fields) {
 		return nil, fmt.Errorf("dsm: field %d out of range (%d)", field, len(g.fields))
 	}
@@ -201,7 +209,7 @@ func (g *Group) Scan(field int, pred func(value.Value) bool, out []uint32, skip 
 		if n <= 0 {
 			break
 		}
-		err := g.readPage(id, func(data []byte) error {
+		err := g.readPage(led, id, func(data []byte) error {
 			for i := 0; i < n; i++ {
 				row := first + i
 				if skip != nil && skip(row) {

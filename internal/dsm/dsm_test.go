@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"tierdb/internal/device"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
 	"tierdb/internal/storage"
@@ -37,7 +36,7 @@ func TestBuildAndReadRoundTrip(t *testing.T) {
 		t.Errorf("Rows = %d", g.Rows())
 	}
 	for _, r := range []int{0, 511, 512, 999} {
-		got, err := g.ReadRow(r)
+		got, err := g.ReadRow(nil, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,28 +46,26 @@ func TestBuildAndReadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	v, err := g.ReadField(700, 3)
+	v, err := g.ReadField(nil, 700, 3)
 	if err != nil || v.Int() != 700003 {
 		t.Errorf("ReadField = %v, %v", v, err)
 	}
-	if _, err := g.ReadRow(1000); err == nil {
+	if _, err := g.ReadRow(nil, 1000); err == nil {
 		t.Error("out-of-range row accepted")
 	}
-	if _, err := g.ReadField(0, 8); err == nil {
+	if _, err := g.ReadField(nil, 0, 8); err == nil {
 		t.Error("out-of-range field accepted")
 	}
 }
 
 func TestScanTouchesOnlyFieldRun(t *testing.T) {
 	fields, rows := makeRows(10000, 10)
-	clock := &storage.Clock{}
-	store := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, clock, 1)
-	g, err := Build(fields, rows, store, nil)
+	g, err := Build(fields, rows, storage.NewMemStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock.Reset()
-	got, err := g.Scan(4, func(v value.Value) bool { return v.Int() == 1234004 }, nil, nil)
+	var led storage.Ledger
+	got, err := g.Scan(&led, 4, func(v value.Value) bool { return v.Int() == 1234004 }, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +73,11 @@ func TestScanTouchesOnlyFieldRun(t *testing.T) {
 		t.Errorf("Scan = %v", got)
 	}
 	// Only field 4's run (10000 / 512 slots per page = 20 pages) read.
-	if reads := clock.Reads(); reads != int64(g.FieldPageCount(4)) {
+	if reads := led.PageReads; reads != int64(g.FieldPageCount(4)) {
 		t.Errorf("scan read %d pages, want %d", reads, g.FieldPageCount(4))
 	}
 	// Skip masks rows.
-	got, err = g.Scan(4, func(v value.Value) bool { return v.Int()%1000 == 4 }, nil,
+	got, err = g.Scan(nil, 4, func(v value.Value) bool { return v.Int()%1000 == 4 }, nil,
 		func(r int) bool { return r != 7 })
 	if err != nil || len(got) != 1 || got[0] != 7 {
 		t.Errorf("Scan with skip = %v, %v", got, err)
@@ -93,47 +90,41 @@ func TestDSMVsSSCGTradeoff(t *testing.T) {
 	const width = 10
 	fields, rows := makeRows(5000, width)
 
-	dsmClock := &storage.Clock{}
-	dsmStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, dsmClock, 1)
-	dsmGroup, err := Build(fields, rows, dsmStore, nil)
+	dsmGroup, err := Build(fields, rows, storage.NewMemStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	rowClock := &storage.Clock{}
-	rowStore := storage.NewTimedStore(storage.NewMemStore(), device.XPoint, rowClock, 1)
-	rowGroup, err := sscg.Build(fields, rows, rowStore, nil)
+	rowGroup, err := sscg.Build(fields, rows, storage.NewMemStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	pred := func(v value.Value) bool { return v.Int()%1000 == 3 }
 
-	dsmClock.Reset()
-	if _, err := dsmGroup.Scan(3, pred, nil, nil); err != nil {
+	var dsmScan, rowScan storage.Ledger
+	if _, err := dsmGroup.Scan(&dsmScan, 3, pred, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	dsmScanReads := dsmClock.Reads()
-	rowClock.Reset()
-	if _, err := rowGroup.Scan(3, pred, nil, nil); err != nil {
+	dsmScanReads := dsmScan.PageReads
+	if _, err := rowGroup.ScanRows(&rowScan, 3, pred, 0, rowGroup.Rows(), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rowScanReads := rowClock.Reads()
+	rowScanReads := rowScan.PageReads
 	if dsmScanReads*5 > rowScanReads {
 		t.Errorf("DSM scan (%d reads) should be ~%dx cheaper than SSCG scan (%d reads)",
 			dsmScanReads, width, rowScanReads)
 	}
 
-	dsmClock.Reset()
-	if _, err := dsmGroup.ReadRow(1234); err != nil {
+	var dsmRec, rowRec storage.Ledger
+	if _, err := dsmGroup.ReadRow(&dsmRec, 1234); err != nil {
 		t.Fatal(err)
 	}
-	dsmRecReads := dsmClock.Reads()
-	rowClock.Reset()
-	if _, err := rowGroup.ReadRow(1234); err != nil {
+	dsmRecReads := dsmRec.PageReads
+	if _, err := rowGroup.FetchRow(&rowRec, 1234); err != nil {
 		t.Fatal(err)
 	}
-	rowRecReads := rowClock.Reads()
+	rowRecReads := rowRec.PageReads
 	if rowRecReads != 1 || dsmRecReads != width {
 		t.Errorf("reconstruction reads: SSCG %d (want 1), DSM %d (want %d)",
 			rowRecReads, dsmRecReads, width)
@@ -177,7 +168,7 @@ func TestMixedTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.ReadRow(1)
+	got, err := g.ReadRow(nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

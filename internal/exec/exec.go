@@ -5,8 +5,8 @@
 // successive predicates receive position lists; and the executor
 // switches from scanning to probing as soon as the fraction of
 // qualifying tuples falls below a threshold (default 0.01 % of the
-// table). DRAM-side costs are charged to a virtual clock; secondary-
-// storage costs flow through the table's timed page store.
+// table). Every query counts its page reads and DRAM accesses in its own
+// storage.Ledger; the ledger is priced once, when the query finishes.
 package exec
 
 import (
@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"tierdb/internal/delta"
-	"tierdb/internal/device"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
 	"tierdb/internal/storage"
@@ -66,19 +65,14 @@ type Result struct {
 
 // Options tunes the executor.
 type Options struct {
-	// Clock accumulates modeled DRAM-side execution time; nil disables
-	// DRAM cost accounting.
+	// Clock receives the DRAM share of every priced query ledger (the
+	// table's timed store books the device share into its own clock);
+	// nil leaves DRAM time unbooked.
 	Clock *storage.Clock
 	// ProbeThreshold is the qualifying fraction below which the
 	// executor probes instead of scanning tiered columns (paper:
 	// 0.01 % = 0.0001). Zero selects the default.
 	ProbeThreshold float64
-	// Threads is the concurrency level assumed for DRAM bandwidth
-	// modeling; defaults to 1.
-	Threads int
-	// DRAMTouch is the modeled cost of one dependent random DRAM
-	// access (cache miss); zero selects the default of 60 ns.
-	DRAMTouch time.Duration
 	// Parallelism is the number of worker goroutines for morsel-driven
 	// main-partition scans, probes and materialization; values <= 1
 	// select the serial executor. Results are byte-identical to the
@@ -113,16 +107,11 @@ type Options struct {
 // DefaultProbeThreshold is the paper's scan-to-probe switch point.
 const DefaultProbeThreshold = 0.0001
 
-// DefaultDRAMTouch approximates one random DRAM cache miss.
-const DefaultDRAMTouch = 60 * time.Nanosecond
-
 // Executor runs queries against one table.
 type Executor struct {
 	tbl         *table.Table
 	clock       *storage.Clock
 	threshold   float64
-	threads     int
-	dramTouch   time.Duration
 	parallelism int
 	morselRows  int
 	recent      *metrics.TraceRing
@@ -189,12 +178,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 	if opts.ProbeThreshold == 0 {
 		opts.ProbeThreshold = DefaultProbeThreshold
 	}
-	if opts.Threads < 1 {
-		opts.Threads = 1
-	}
-	if opts.DRAMTouch == 0 {
-		opts.DRAMTouch = DefaultDRAMTouch
-	}
 	if opts.Parallelism < 1 {
 		opts.Parallelism = 1
 	}
@@ -205,8 +188,6 @@ func New(tbl *table.Table, opts Options) *Executor {
 		tbl:         tbl,
 		clock:       opts.Clock,
 		threshold:   opts.ProbeThreshold,
-		threads:     opts.Threads,
-		dramTouch:   opts.DRAMTouch,
 		parallelism: opts.Parallelism,
 		morselRows:  opts.MorselRows,
 		recent:      opts.TraceRing,
@@ -220,24 +201,22 @@ func New(tbl *table.Table, opts Options) *Executor {
 // Parallelism returns the configured worker count (1 = serial).
 func (e *Executor) Parallelism() int { return e.parallelism }
 
-// charge adds modeled DRAM time to the clock, the exec.dram_ns counter
-// and the active trace (tr may be nil).
-func (e *Executor) charge(tr *metrics.Trace, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if e.clock != nil {
-		e.clock.Advance(d)
-	}
-	e.m.dramNs.Add(int64(d))
-	tr.AddDRAM(int64(d))
+// book settles a finished ledger and zeroes it: the table's store prices
+// it and books the device share, the DRAM share goes to the executor's
+// clock and the exec.dram_ns counter, and the active trace (tr may be
+// nil) adds the whole cost.
+func (e *Executor) book(tr *metrics.Trace, led *storage.Ledger) {
+	c := storage.Charge(e.tbl.Store(), *led)
+	e.clock.Add(c.DRAM, 0)
+	e.m.dramNs.Add(int64(c.DRAM))
+	tr.AddCost(int64(c.DRAM), int64(c.Device()), led.PageReads)
+	*led = storage.Ledger{}
 }
 
-// chargeTouches charges n dependent DRAM accesses.
-func (e *Executor) chargeTouches(tr *metrics.Trace, n int) {
-	if n > 0 {
-		e.charge(tr, time.Duration(n)*e.dramTouch)
-	}
+// release books the View's ledger, then releases the View.
+func (e *Executor) release(v *table.View, tr *metrics.Trace) {
+	e.book(tr, v.Ledger())
+	v.Release()
 }
 
 // Run executes q at the transaction's snapshot (tx may be nil for a
@@ -263,9 +242,9 @@ func (e *Executor) RunCtx(ctx context.Context, q Query, tx *mvcc.Tx) (*Result, e
 // RunTraced is Run with per-query tracing: the returned Trace records
 // the filter ordering chosen, per-operator access paths (including
 // scan-to-probe switchovers), morsels per worker, rows qualified and
-// the modeled cost split per device. The trace's device attribution
-// assumes no concurrent query shares the executor's clock; the trace
-// is partially filled when an error is returned. When trace rings are
+// the modeled cost split per device, priced from the query's own
+// ledger, so concurrent queries never blur it. The trace is partially
+// filled when an error is returned. When trace rings are
 // configured, the trace also enters the recent ring (and the slow ring
 // if the wall-clock duration reaches the slow-query threshold).
 func (e *Executor) RunTraced(q Query, tx *mvcc.Tx) (*Result, *metrics.Trace, error) {
@@ -358,20 +337,6 @@ func (e *Executor) Explain(q Query) (*metrics.Trace, error) {
 	return tr, nil
 }
 
-// opClock returns the device clock to diff for per-operator page-read
-// attribution, nil when tracing is off or the store is untimed. Like
-// the trace's query-level attribution, per-operator deltas assume no
-// concurrent query shares the clock.
-func (e *Executor) opClock(tr *metrics.Trace) *storage.Clock {
-	if tr == nil {
-		return nil
-	}
-	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-		return timed.Clock()
-	}
-	return nil
-}
-
 // stampPageReads attributes a step's device page reads to the single
 // operator the step appended (no-op when the step recorded none, or
 // more than one — attribution must never double-count).
@@ -451,23 +416,10 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	// Pin the table's structure for the whole query: an online merge
 	// swapping the main partition mid-query cannot tear the reads, and
 	// the epoch reference keeps the pinned SSCG's pages allocated until
-	// Release.
+	// Release. The View's ledger is the query's serial ledger; parallel
+	// phases price their own.
 	v := e.tbl.Pin()
-	defer v.Release()
-
-	// Snapshot the device clock so the trace can attribute modeled
-	// cost and page reads to this query.
-	var devClock *storage.Clock
-	var reads0 int64
-	var elapsed0 time.Duration
-	if tr != nil {
-		if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-			devClock = timed.Clock()
-		}
-		if devClock != nil {
-			reads0, elapsed0 = devClock.Reads(), devClock.Elapsed()
-		}
-	}
+	defer e.release(v, tr)
 
 	ordered := e.orderPredicates(v, q.Predicates)
 	if tr != nil {
@@ -517,17 +469,6 @@ func (e *Executor) run(q Query, tx *mvcc.Tx, tr *metrics.Trace) (*Result, error)
 	e.m.rowsQualified.Add(int64(len(res.IDs)))
 	if tr != nil {
 		tr.RowsQualified = len(res.IDs)
-		if devClock != nil {
-			tr.PageReads = devClock.Reads() - reads0
-			total := int64(devClock.Elapsed() - elapsed0)
-			if devClock == e.clock {
-				// Shared clock (the tierdb default): the delta includes
-				// the DRAM charges this query made; split them out.
-				tr.DeviceNs = max(total-tr.DRAMNs, 0)
-			} else {
-				tr.DeviceNs = total
-			}
-		}
 	}
 	return res, nil
 }
@@ -623,22 +564,20 @@ func (e *Executor) runMain(v *table.View, preds []Predicate, snapshot mvcc.Times
 	skip := func(row int) bool {
 		return !v.MainVersions().Visible(row, snapshot, self)
 	}
-	clk := e.opClock(tr)
+	led := v.Ledger()
 	var cand []uint32
 	first := true
 	for _, p := range preds {
-		mark, reads0 := 0, int64(0)
-		if clk != nil {
-			mark, reads0 = len(tr.Operators), clk.Reads()
+		mark, reads0 := 0, led.PageReads
+		if tr != nil {
+			mark = len(tr.Operators)
 		}
 		var err error
 		cand, err = e.applyMain(v, p, cand, first, skip, tr)
 		if err != nil {
 			return nil, err
 		}
-		if clk != nil {
-			stampPageReads(tr, mark, clk.Reads()-reads0)
-		}
+		stampPageReads(tr, mark, led.PageReads-reads0)
 		first = false
 		if len(cand) == 0 {
 			return nil, nil
@@ -664,10 +603,11 @@ func (e *Executor) runMain(v *table.View, preds []Predicate, snapshot mvcc.Times
 // the candidate list (nil on the first predicate).
 func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bool, skip func(int) bool, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
+	led := v.Ledger()
 
 	// Index access path (always DRAM-resident).
 	if idx := v.Index(p.Column); idx != nil && first {
-		out := e.indexLookup(v, p, skip, tr)
+		out := e.indexLookup(v, p, skip)
 		e.m.indexLookups.Inc()
 		e.observeSelectivity(p, mainRows, len(out))
 		tr.Op(metrics.OperatorTrace{
@@ -679,8 +619,9 @@ func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bo
 
 	if mrc := v.MRC(p.Column); mrc != nil {
 		if first {
-			// Full scan on the compressed DRAM column.
-			e.charge(tr, device.DRAM.SequentialReadTime(mrc.Bytes(), e.threads))
+			// Full scan on the compressed DRAM column: one stream.
+			led.SeqStreams++
+			led.SeqBytes += mrc.Bytes()
 			e.m.mrcScans.Inc()
 			e.m.rowsScanned.Add(int64(mainRows))
 			e.m.dramScanBytes.Add(mrc.Bytes())
@@ -704,7 +645,7 @@ func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bo
 		}
 		// Subsequent predicate: probe the candidate list (always
 		// cheaper than re-scanning DRAM).
-		e.chargeTouches(tr, len(cand))
+		led.Touches += int64(len(cand))
 		e.m.mrcProbes.Inc()
 		e.m.rowsScanned.Add(int64(len(cand)))
 		var out []uint32
@@ -744,7 +685,7 @@ func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bo
 		// Scan the whole group (reads every page), then intersect.
 		e.m.sscgScans.Inc()
 		e.m.rowsScanned.Add(int64(mainRows))
-		matches, err := group.Scan(gf, pred, nil, skip)
+		matches, err := group.ScanRows(led, gf, pred, 0, group.Rows(), nil, skip)
 		if err != nil {
 			return nil, err
 		}
@@ -771,7 +712,7 @@ func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bo
 	e.m.sscgProbes.Inc()
 	e.m.switchovers.Inc()
 	e.m.rowsScanned.Add(int64(len(cand)))
-	out, err := group.Probe(gf, pred, cand, nil)
+	out, err := group.Probe(led, gf, pred, cand, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -788,7 +729,7 @@ func (e *Executor) applyMain(v *table.View, p Predicate, cand []uint32, first bo
 // returning visible matching positions in ascending row order. Shared
 // by the serial and parallel paths (index descent is DRAM-cheap and
 // stays single-threaded either way).
-func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, tr *metrics.Trace) []uint32 {
+func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool) []uint32 {
 	idx := v.Index(p.Column)
 	var positions []uint32
 	collect := func(_ value.Value, rows []uint32) bool {
@@ -801,7 +742,7 @@ func (e *Executor) indexLookup(v *table.View, p Predicate, skip func(int) bool, 
 	case Between:
 		idx.Range(p.Value, p.Hi, collect)
 	}
-	e.chargeTouches(tr, 20+len(positions)) // tree descent + leaf reads
+	v.Ledger().Touches += int64(20 + len(positions)) // tree descent + leaf reads
 	out := positions[:0]
 	for _, pos := range positions {
 		if !skip(int(pos)) {
@@ -840,13 +781,13 @@ func (e *Executor) compile(p Predicate) (func(value.Value) bool, error) {
 func (e *Executor) runDelta(v *table.View, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	var out []uint32
 	if fz := v.Frozen(); fz != nil {
-		ids, err := e.runDeltaPart(fz, v.FrozenRows(), 0, "delta.frozen", preds, snapshot, self, tr)
+		ids, err := e.runDeltaPart(v.Ledger(), fz, v.FrozenRows(), 0, "delta.frozen", preds, snapshot, self, tr)
 		if err != nil {
 			return nil, err
 		}
 		out = ids
 	}
-	ids, err := e.runDeltaPart(v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", preds, snapshot, self, tr)
+	ids, err := e.runDeltaPart(v.Ledger(), v.Active(), v.ActiveRows(), uint32(v.FrozenRows()), "delta", preds, snapshot, self, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -857,8 +798,8 @@ func (e *Executor) runDelta(v *table.View, preds []Predicate, snapshot mvcc.Time
 // caps the physical positions considered (the view's pin-time row count
 // for the active delta, which keeps growing underneath us); offset
 // shifts the returned positions into the view's combined delta RowID
-// space.
-func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, part string, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
+// space. DRAM touches are counted in led.
+func (e *Executor) runDeltaPart(led *storage.Ledger, d *delta.Partition, bound int, offset uint32, part string, preds []Predicate, snapshot mvcc.Timestamp, self mvcc.TxID, tr *metrics.Trace) ([]uint32, error) {
 	if bound == 0 {
 		return nil, nil
 	}
@@ -907,7 +848,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 				return nil, err
 			}
 			cand = inBound(cand)
-			e.chargeTouches(tr, 20+len(cand))
+			led.Touches += int64(20 + len(cand))
 			tr.Op(metrics.OperatorTrace{
 				Name: "scan", Partition: part, Path: "index", Column: p.Column,
 				RowsIn: bound, RowsOut: len(cand),
@@ -929,7 +870,7 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 				}
 			}
 			cand = out
-			e.chargeTouches(tr, len(cand))
+			led.Touches += int64(len(cand))
 			tr.Op(metrics.OperatorTrace{
 				Name: "probe", Partition: part, Column: p.Column,
 				RowsIn: in, RowsOut: len(cand),
@@ -947,11 +888,8 @@ func (e *Executor) runDeltaPart(d *delta.Partition, bound int, offset uint32, pa
 // qualifying row. For main-partition rows with SSCG-placed projections,
 // one group page access delivers all grouped attributes of a row.
 func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *metrics.Trace) error {
-	clk := e.opClock(tr)
-	var reads0 int64
-	if clk != nil {
-		reads0 = clk.Reads()
-	}
+	led := v.Ledger()
+	reads0 := led.PageReads
 	mainRows := uint64(v.MainRows())
 	group := v.Group()
 	needGroup := false
@@ -966,7 +904,7 @@ func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *me
 		var groupRow []value.Value
 		if id < mainRows && needGroup && group != nil {
 			var err error
-			groupRow, err = group.ReadRow(int(id))
+			groupRow, err = group.FetchRow(led, int(id))
 			if err != nil {
 				return err
 			}
@@ -977,7 +915,7 @@ func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *me
 					row[j] = groupRow[gf]
 					continue
 				}
-				e.chargeTouches(tr, 2) // value vector + dictionary
+				led.Touches += 2 // value vector + dictionary
 			}
 			val, err := v.GetValue(id, c)
 			if err != nil {
@@ -988,16 +926,11 @@ func (e *Executor) materialize(v *table.View, res *Result, project []int, tr *me
 		res.Rows[i] = row
 	}
 	e.m.rowsMaterialized.Add(int64(len(res.IDs)))
-	op := metrics.OperatorTrace{
+	tr.Op(metrics.OperatorTrace{
 		Name: "materialize", Partition: "main", Column: -1,
 		RowsIn: len(res.IDs), RowsOut: len(res.IDs),
-	}
-	if clk != nil {
-		if d := clk.Reads() - reads0; d > 0 {
-			op.PageReads = d
-		}
-	}
-	tr.Op(op)
+		PageReads: led.PageReads - reads0,
+	})
 	return nil
 }
 

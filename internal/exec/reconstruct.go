@@ -7,12 +7,13 @@ import (
 	"tierdb/internal/value"
 )
 
-// Reconstruct materializes a full tuple, charging the modeled DRAM costs
-// of dictionary decoding: each MRC attribute needs two dependent random
+// Reconstruct materializes a full tuple, counting the DRAM work of
+// dictionary decoding: each MRC attribute needs two dependent random
 // accesses (value vector, then dictionary — the paper's "two L3 cache
 // misses"), while all SSCG attributes of the row arrive with the page
-// access(es) charged by the timed store, plus one DRAM touch per
-// attribute parsed out of the page.
+// access(es) of one group read, plus one DRAM touch per attribute parsed
+// out of the page. Like every helper here, the call counts its work in
+// its pinned View's ledger and books it when it returns.
 //
 // Like the other RowID-taking helpers, Reconstruct pins the table's
 // current structure for the duration of the call; the id itself must
@@ -20,14 +21,14 @@ import (
 // between merges).
 func (e *Executor) Reconstruct(id table.RowID) ([]value.Value, error) {
 	v := e.tbl.Pin()
-	defer v.Release()
+	defer e.release(v, nil)
 	mainRows := uint64(v.MainRows())
 	if id >= mainRows {
 		row, err := v.GetTuple(id)
 		if err != nil {
 			return nil, err
 		}
-		e.chargeTouches(nil, len(row))
+		v.Ledger().Touches += int64(len(row))
 		return row, nil
 	}
 	n := e.tbl.Schema().Len()
@@ -40,7 +41,7 @@ func (e *Executor) Reconstruct(id table.RowID) ([]value.Value, error) {
 			groupAttrs++
 		}
 	}
-	e.chargeTouches(nil, 2*mrcAttrs+groupAttrs)
+	v.Ledger().Touches += int64(2*mrcAttrs + groupAttrs)
 	return v.GetTuple(id)
 }
 
@@ -53,11 +54,11 @@ func (e *Executor) Sum(col int, ids []table.RowID) (float64, error) {
 		return 0, fmt.Errorf("exec: cannot sum string column %d", col)
 	}
 	v := e.tbl.Pin()
-	defer v.Release()
+	defer e.release(v, nil)
 	var total float64
 	for _, id := range ids {
 		if v.MRC(col) != nil || id >= uint64(v.MainRows()) {
-			e.chargeTouches(nil, 2)
+			v.Ledger().Touches += 2
 		}
 		val, err := v.GetValue(id, col)
 		if err != nil {
@@ -78,10 +79,10 @@ func (e *Executor) Sum(col int, ids []table.RowID) (float64, error) {
 // other table's executor.
 func (e *Executor) JoinProbe(col int, ids []table.RowID, build map[value.Value][]table.RowID) ([][2]table.RowID, error) {
 	v := e.tbl.Pin()
-	defer v.Release()
+	defer e.release(v, nil)
 	var out [][2]table.RowID
 	for _, id := range ids {
-		e.chargeTouches(nil, 3) // key fetch + hash probe
+		v.Ledger().Touches += 3 // key fetch + hash probe
 		val, err := v.GetValue(id, col)
 		if err != nil {
 			return nil, err
@@ -96,10 +97,10 @@ func (e *Executor) JoinProbe(col int, ids []table.RowID, build map[value.Value][
 // BuildJoinMap hashes the join-key column of the given rows.
 func (e *Executor) BuildJoinMap(col int, ids []table.RowID) (map[value.Value][]table.RowID, error) {
 	v := e.tbl.Pin()
-	defer v.Release()
+	defer e.release(v, nil)
 	m := make(map[value.Value][]table.RowID, len(ids))
 	for _, id := range ids {
-		e.chargeTouches(nil, 3)
+		v.Ledger().Touches += 3
 		val, err := v.GetValue(id, col)
 		if err != nil {
 			return nil, err
@@ -119,10 +120,10 @@ func (e *Executor) GroupBySum(groupCol, aggCol int, ids []table.RowID) (map[valu
 		return nil, fmt.Errorf("exec: cannot sum string column %d", aggCol)
 	}
 	v := e.tbl.Pin()
-	defer v.Release()
+	defer e.release(v, nil)
 	out := make(map[value.Value]float64)
 	for _, id := range ids {
-		e.chargeTouches(nil, 4) // group key + aggregate fetches
+		v.Ledger().Touches += 4 // group key + aggregate fetches
 		g, err := v.GetValue(id, groupCol)
 		if err != nil {
 			return nil, err

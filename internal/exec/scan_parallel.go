@@ -7,24 +7,24 @@
 // byte-identical to the serial executor's.
 //
 // Cost accounting follows the same parallel semantics: every worker
-// charges a private virtual clock, and at the phase barrier the shared
-// clock advances by the phase's wall-clock — the slowest worker, which
-// under morsel-balanced scheduling is the per-worker mean — while
-// page-read counts sum. See Clock.Absorb for why the mean stands in
-// for the maximum.
+// counts its page reads and DRAM touches in a private ledger, the
+// worker ledgers are summed into the phase's ledger at each barrier,
+// and the phase is priced once when it ends, at its modeled wall-clock:
+// the per-worker share of the total (storage.Price). Under morsel
+// scheduling the workers are balanced, so the mean stands in for the
+// slowest worker and the price never depends on which goroutine ran
+// which morsel — a morsel-parallel MRC scan is priced from its bytes,
+// the worker count and the morsel count alone.
 package exec
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tierdb/internal/column"
-	"tierdb/internal/device"
 	"tierdb/internal/metrics"
 	"tierdb/internal/mvcc"
-	"tierdb/internal/sscg"
 	"tierdb/internal/storage"
 	"tierdb/internal/table"
 	"tierdb/internal/value"
@@ -35,106 +35,64 @@ import (
 // million rows yields dozens of units for load balancing.
 const DefaultMorselRows = 16384
 
-// worker carries one worker's execution state for one parallel query: a
-// private virtual clock (merged via Clock.Absorb at the barrier), a
-// timed device view charging that clock, a private SSCG view with its
-// own page-buffer pool, and DRAM cost counters.
+// worker carries one worker's state for one parallel phase: a private
+// ledger, summed into the phase ledger at every barrier, and the count
+// of morsels it executed (for traces).
 type worker struct {
-	clock       *storage.Clock
-	store       storage.Store
-	group       *sscg.Group
-	touches     int64         // dependent DRAM accesses performed
-	dram        time.Duration // modeled DRAM streaming time
-	rowsScanned int           // scratch: MRC rows scanned this phase
-	morsels     int64         // morsels this worker executed (for traces)
+	led     storage.Ledger
+	morsels int64
 }
 
-// newWorkers builds the per-worker state for one parallel query. When
-// the table's device is timed, each worker gets a fork charging its
-// private clock at the query's parallelism level, so the device model
-// sees the true stream count. Workers view the pinned snapshot's SSCG,
-// not the table's live one, so a mid-query merge swap is invisible.
-func (e *Executor) newWorkers(v *table.View) []*worker {
-	n := e.parallelism
-	base := e.tbl.Store()
-	timed, _ := base.(*storage.TimedStore)
-	group := v.Group()
-	ws := make([]*worker, n)
+// phase is one parallel phase of a query (the main-partition filters,
+// or materialization): its workers, and the ledger their work is summed
+// into at every barrier and priced once when the phase ends. Workers
+// read the pinned View's SSCG directly — the group is immutable and its
+// page buffers are pooled — so a mid-query merge swap stays invisible.
+type phase struct {
+	ws  []*worker
+	led storage.Ledger
+}
+
+// newPhase builds a phase of e.parallelism workers.
+func (e *Executor) newPhase() *phase {
+	ws := make([]*worker, e.parallelism)
 	for i := range ws {
-		w := &worker{}
-		if timed != nil {
-			w.clock = &storage.Clock{}
-			w.store = timed.Fork(w.clock, n)
-		} else {
-			w.store = base
-		}
-		if group != nil {
-			w.group = group.WithBacking(w.store)
-		}
-		ws[i] = w
+		ws[i] = &worker{}
 	}
-	return ws
+	return &phase{ws: ws, led: storage.Ledger{Workers: e.parallelism}}
 }
 
-// settle charges the parallel phases' modeled cost to the shared
-// clocks: DRAM and device time advance by the phase wall-clock (the
-// per-worker share of the total, i.e. the slowest worker under
-// balanced morsel scheduling), page-read counts by the total. It also
-// reports per-worker morsel counts to the metrics registry and the
-// active trace.
-func (e *Executor) settle(ws []*worker, tr *metrics.Trace) {
-	p := time.Duration(e.parallelism)
-	var sum time.Duration
-	var morsels int64
-	counts := make([]int64, len(ws))
-	for i, w := range ws {
-		sum += w.dram + time.Duration(w.touches)*e.dramTouch
-		morsels += w.morsels
-		counts[i] = w.morsels
-	}
-	e.charge(tr, (sum+p-1)/p)
-	if morsels > 0 {
-		e.m.morsels.Add(morsels)
-		tr.AddWorkerMorsels(counts)
-	}
-	if timed, ok := e.tbl.Store().(*storage.TimedStore); ok {
-		clocks := make([]*storage.Clock, 0, len(ws))
-		for _, w := range ws {
-			clocks = append(clocks, w.clock)
-		}
-		timed.Clock().Absorb(e.parallelism, clocks...)
-	}
-}
-
-// morselsOf sums the workers' executed-morsel counters; the delta
-// around an operator yields that operator's morsel count for traces.
-func morselsOf(ws []*worker) int64 {
+// morsels sums the workers' executed-morsel counters; the delta around
+// an operator yields that operator's morsel count for traces.
+func (ph *phase) morsels() int64 {
 	var n int64
-	for _, w := range ws {
+	for _, w := range ph.ws {
 		n += w.morsels
 	}
 	return n
 }
 
-// readsOf sums the workers' private device-clock page-read counts.
-// Called only at phase barriers (after runMorsels returns), so the
-// loads race with nothing.
-func readsOf(ws []*worker) int64 {
-	var n int64
-	for _, w := range ws {
-		if w.clock != nil {
-			n += w.clock.Reads()
-		}
+// settle books the ended phase's ledger and reports per-worker morsel
+// counts to the metrics registry and the active trace.
+func (e *Executor) settle(ph *phase, tr *metrics.Trace) {
+	e.book(tr, &ph.led)
+	counts := make([]int64, len(ph.ws))
+	for i, w := range ph.ws {
+		counts[i] = w.morsels
 	}
-	return n
+	if morsels := ph.morsels(); morsels > 0 {
+		e.m.morsels.Add(morsels)
+		tr.AddWorkerMorsels(counts)
+	}
 }
 
-// runMorsels fans nMorsels work units out to the workers. Each worker
-// pulls the next morsel index from a shared counter and runs fn on it.
-// The first error wins: it cancels the remaining morsels, every worker
-// drains promptly, and the error is returned only after all workers
-// have exited — no goroutine outlives the call.
-func runMorsels(ws []*worker, nMorsels int, fn func(w *worker, m int) error) error {
+// runMorsels fans nMorsels work units out to the phase's workers. Each
+// worker pulls the next morsel index from a shared counter and runs fn
+// on it. The first error wins: it cancels the remaining morsels, every
+// worker drains promptly, and the error is returned only after all
+// workers have exited — no goroutine outlives the call. At that barrier
+// the worker ledgers are summed into the phase ledger.
+func runMorsels(ph *phase, nMorsels int, fn func(w *worker, m int) error) error {
 	if nMorsels <= 0 {
 		return nil
 	}
@@ -145,7 +103,7 @@ func runMorsels(ws []*worker, nMorsels int, fn func(w *worker, m int) error) err
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	for _, w := range ws {
+	for _, w := range ph.ws {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
@@ -164,6 +122,10 @@ func runMorsels(ws []*worker, nMorsels int, fn func(w *worker, m int) error) err
 		}(w)
 	}
 	wg.Wait()
+	for _, w := range ph.ws {
+		ph.led.Add(w.led)
+		w.led = storage.Ledger{}
+	}
 	return firstErr
 }
 
@@ -209,26 +171,24 @@ func (e *Executor) runMainParallel(v *table.View, preds []Predicate, snapshot mv
 	if mainRows == 0 {
 		return nil, nil
 	}
-	ws := e.newWorkers(v)
-	defer e.settle(ws, tr)
+	ph := e.newPhase()
+	defer e.settle(ph, tr)
 	skip := func(row int) bool {
 		return !v.MainVersions().Visible(row, snapshot, self)
 	}
 	var cand []uint32
 	first := true
 	for _, p := range preds {
-		mark, reads0 := 0, int64(0)
+		mark, reads0 := 0, ph.led.PageReads
 		if tr != nil {
-			mark, reads0 = len(tr.Operators), readsOf(ws)
+			mark = len(tr.Operators)
 		}
 		var err error
-		cand, err = e.applyMainParallel(v, p, cand, first, skip, ws, tr)
+		cand, err = e.applyMainParallel(v, p, cand, first, skip, ph, tr)
 		if err != nil {
 			return nil, err
 		}
-		if tr != nil {
-			stampPageReads(tr, mark, readsOf(ws)-reads0)
-		}
+		stampPageReads(tr, mark, ph.led.PageReads-reads0)
 		first = false
 		if len(cand) == 0 {
 			return nil, nil
@@ -236,17 +196,17 @@ func (e *Executor) runMainParallel(v *table.View, preds []Predicate, snapshot mv
 	}
 	if first {
 		// No predicates: all visible rows qualify.
-		return e.visibleParallel(mainRows, skip, ws, tr)
+		return e.visibleParallel(mainRows, skip, ph, tr)
 	}
 	return cand, nil
 }
 
 // visibleParallel collects all MVCC-visible main rows morsel-wise.
-func (e *Executor) visibleParallel(mainRows int, skip func(int) bool, ws []*worker, tr *metrics.Trace) ([]uint32, error) {
+func (e *Executor) visibleParallel(mainRows int, skip func(int) bool, ph *phase, tr *metrics.Trace) ([]uint32, error) {
 	nMorsels := (mainRows + e.morselRows - 1) / e.morselRows
 	parts := make([][]uint32, nMorsels)
-	before := morselsOf(ws)
-	err := runMorsels(ws, nMorsels, func(w *worker, m int) error {
+	before := ph.morsels()
+	err := runMorsels(ph, nMorsels, func(w *worker, m int) error {
 		lo := m * e.morselRows
 		hi := min(lo+e.morselRows, mainRows)
 		var out []uint32
@@ -265,7 +225,7 @@ func (e *Executor) visibleParallel(mainRows int, skip func(int) bool, ws []*work
 	out := concat(parts)
 	tr.Op(metrics.OperatorTrace{
 		Name: "visible", Partition: "main", Column: -1,
-		RowsIn: mainRows, RowsOut: len(out), Morsels: int(morselsOf(ws) - before),
+		RowsIn: mainRows, RowsOut: len(out), Morsels: int(ph.morsels() - before),
 	})
 	return out, nil
 }
@@ -273,13 +233,13 @@ func (e *Executor) visibleParallel(mainRows int, skip func(int) bool, ws []*work
 // applyMainParallel mirrors applyMain — same access-path decisions,
 // same results — with the scan, probe and refinement work fanned out to
 // the worker pool.
-func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, first bool, skip func(int) bool, ws []*worker, tr *metrics.Trace) ([]uint32, error) {
+func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, first bool, skip func(int) bool, ph *phase, tr *metrics.Trace) ([]uint32, error) {
 	mainRows := v.MainRows()
 
 	// Index access path: the tree descent is DRAM-cheap and stays
 	// single-threaded; subsequent predicates refine in parallel.
 	if idx := v.Index(p.Column); idx != nil && first {
-		out := e.indexLookup(v, p, skip, tr)
+		out := e.indexLookup(v, p, skip)
 		e.m.indexLookups.Inc()
 		e.observeSelectivity(p, mainRows, len(out))
 		tr.Op(metrics.OperatorTrace{
@@ -289,15 +249,15 @@ func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, 
 		return out, nil
 	}
 
-	before := morselsOf(ws)
-	opMorsels := func() int { return int(morselsOf(ws) - before) }
+	before := ph.morsels()
+	opMorsels := func() int { return int(ph.morsels() - before) }
 
 	if mrc := v.MRC(p.Column); mrc != nil {
 		if first {
 			e.m.mrcScans.Inc()
 			e.m.rowsScanned.Add(int64(mainRows))
 			e.m.dramScanBytes.Add(mrc.Bytes())
-			out, err := e.scanMRCParallel(mainRows, mrc, p, skip, ws)
+			out, err := e.scanMRCParallel(mainRows, mrc, p, skip, ph)
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +270,7 @@ func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, 
 		}
 		e.m.mrcProbes.Inc()
 		e.m.rowsScanned.Add(int64(len(cand)))
-		out, err := e.probeMRCParallel(mrc, p, cand, ws)
+		out, err := e.probeMRCParallel(mrc, p, cand, ph)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +298,7 @@ func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, 
 	if first || fraction > e.threshold {
 		e.m.sscgScans.Inc()
 		e.m.rowsScanned.Add(int64(mainRows))
-		matches, err := e.scanGroupParallel(v, gf, pred, skip, ws)
+		matches, err := e.scanGroupParallel(v, gf, pred, skip, ph)
 		if err != nil {
 			return nil, err
 		}
@@ -362,7 +322,7 @@ func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, 
 	e.m.sscgProbes.Inc()
 	e.m.switchovers.Inc()
 	e.m.rowsScanned.Add(int64(len(cand)))
-	out, err := e.probeGroupParallel(gf, pred, cand, ws)
+	out, err := e.probeGroupParallel(v, gf, pred, cand, ph)
 	if err != nil {
 		return nil, err
 	}
@@ -377,10 +337,10 @@ func (e *Executor) applyMainParallel(v *table.View, p Predicate, cand []uint32, 
 
 // scanMRCParallel runs the first (DRAM-resident) predicate as a
 // morsel-parallel scan over the compressed column.
-func (e *Executor) scanMRCParallel(mainRows int, mrc *column.MRC, p Predicate, skip func(int) bool, ws []*worker) ([]uint32, error) {
+func (e *Executor) scanMRCParallel(mainRows int, mrc *column.MRC, p Predicate, skip func(int) bool, ph *phase) ([]uint32, error) {
 	nMorsels := (mainRows + e.morselRows - 1) / e.morselRows
 	parts := make([][]uint32, nMorsels)
-	err := runMorsels(ws, nMorsels, func(w *worker, m int) error {
+	err := runMorsels(ph, nMorsels, func(_ *worker, m int) error {
 		lo := m * e.morselRows
 		hi := min(lo+e.morselRows, mainRows)
 		var out []uint32
@@ -395,30 +355,25 @@ func (e *Executor) scanMRCParallel(mainRows int, mrc *column.MRC, p Predicate, s
 			return err
 		}
 		parts[m] = out
-		w.rowsScanned += hi - lo
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Each worker streamed its share of the column's bytes with the
-	// others running concurrently; one latency charge per stream.
-	bytesPerRow := float64(mrc.Bytes()) / float64(mainRows)
-	for _, w := range ws {
-		if w.rowsScanned > 0 {
-			w.dram += device.DRAM.SequentialReadTime(int64(float64(w.rowsScanned)*bytesPerRow), len(ws))
-			w.rowsScanned = 0
-		}
-	}
+	// Every worker that gets a morsel streams an even share of the
+	// column's bytes with the others running concurrently: one stream
+	// per worker, or per morsel when there are fewer morsels.
+	ph.led.SeqStreams += int64(min(len(ph.ws), nMorsels))
+	ph.led.SeqBytes += mrc.Bytes()
 	return concat(parts), nil
 }
 
 // probeMRCParallel refines the candidate list against a DRAM column,
 // chunk-wise across workers.
-func (e *Executor) probeMRCParallel(mrc *column.MRC, p Predicate, cand []uint32, ws []*worker) ([]uint32, error) {
-	nChunks := chunkCount(len(cand), len(ws))
+func (e *Executor) probeMRCParallel(mrc *column.MRC, p Predicate, cand []uint32, ph *phase) ([]uint32, error) {
+	nChunks := chunkCount(len(cand), len(ph.ws))
 	parts := make([][]uint32, nChunks)
-	err := runMorsels(ws, nChunks, func(w *worker, m int) error {
+	err := runMorsels(ph, nChunks, func(w *worker, m int) error {
 		lo, hi := chunkBounds(len(cand), nChunks, m)
 		var out []uint32
 		var err error
@@ -432,7 +387,7 @@ func (e *Executor) probeMRCParallel(mrc *column.MRC, p Predicate, cand []uint32,
 			return err
 		}
 		parts[m] = out
-		w.touches += int64(hi - lo)
+		w.led.Touches += int64(hi - lo)
 		return nil
 	})
 	if err != nil {
@@ -442,21 +397,22 @@ func (e *Executor) probeMRCParallel(mrc *column.MRC, p Predicate, cand []uint32,
 }
 
 // scanGroupParallel scans the SSCG morsel-wise. Morsel boundaries align
-// to page boundaries so no page is read by two workers; device time
-// flows through each worker's timed fork onto its private clock.
-func (e *Executor) scanGroupParallel(v *table.View, gf int, pred func(value.Value) bool, skip func(int) bool, ws []*worker) ([]uint32, error) {
+// to page boundaries so no page is read by two workers; each worker
+// counts its page reads in its own ledger.
+func (e *Executor) scanGroupParallel(v *table.View, gf int, pred func(value.Value) bool, skip func(int) bool, ph *phase) ([]uint32, error) {
 	mainRows := v.MainRows()
-	align := v.Group().RowsPerPage()
+	group := v.Group()
+	align := group.RowsPerPage()
 	if align < 1 {
 		align = 1 // page-spanning rows: every row owns its pages
 	}
 	morsel := (e.morselRows + align - 1) / align * align
 	nMorsels := (mainRows + morsel - 1) / morsel
 	parts := make([][]uint32, nMorsels)
-	err := runMorsels(ws, nMorsels, func(w *worker, m int) error {
+	err := runMorsels(ph, nMorsels, func(w *worker, m int) error {
 		lo := m * morsel
 		hi := min(lo+morsel, mainRows)
-		out, err := w.group.ScanRows(gf, pred, lo, hi, nil, skip)
+		out, err := group.ScanRows(&w.led, gf, pred, lo, hi, nil, skip)
 		if err != nil {
 			return err
 		}
@@ -471,12 +427,13 @@ func (e *Executor) scanGroupParallel(v *table.View, gf int, pred func(value.Valu
 
 // probeGroupParallel probes candidate positions in the SSCG, chunk-wise
 // across workers (one page access per candidate, overlapped streams).
-func (e *Executor) probeGroupParallel(gf int, pred func(value.Value) bool, cand []uint32, ws []*worker) ([]uint32, error) {
-	nChunks := chunkCount(len(cand), len(ws))
+func (e *Executor) probeGroupParallel(v *table.View, gf int, pred func(value.Value) bool, cand []uint32, ph *phase) ([]uint32, error) {
+	group := v.Group()
+	nChunks := chunkCount(len(cand), len(ph.ws))
 	parts := make([][]uint32, nChunks)
-	err := runMorsels(ws, nChunks, func(w *worker, m int) error {
+	err := runMorsels(ph, nChunks, func(w *worker, m int) error {
 		lo, hi := chunkBounds(len(cand), nChunks, m)
-		out, err := w.group.Probe(gf, pred, cand[lo:hi], nil)
+		out, err := group.Probe(&w.led, gf, pred, cand[lo:hi], nil)
 		if err != nil {
 			return err
 		}
@@ -493,20 +450,14 @@ func (e *Executor) probeGroupParallel(gf int, pred func(value.Value) bool, cand 
 // output slot is owned by exactly one worker (disjoint index ranges),
 // so no merge is needed and the row order matches the serial path.
 func (e *Executor) materializeParallel(v *table.View, res *Result, project []int, tr *metrics.Trace) error {
-	ws := e.newWorkers(v)
-	defer e.settle(ws, tr)
-	before := morselsOf(ws)
-	beforeReads := readsOf(ws)
+	ph := e.newPhase()
+	defer e.settle(ph, tr)
 	defer func() {
-		op := metrics.OperatorTrace{
+		tr.Op(metrics.OperatorTrace{
 			Name: "materialize", Column: -1,
 			RowsIn: len(res.IDs), RowsOut: len(res.IDs),
-			Morsels: int(morselsOf(ws) - before),
-		}
-		if d := readsOf(ws) - beforeReads; d > 0 {
-			op.PageReads = d
-		}
-		tr.Op(op)
+			Morsels: int(ph.morsels()), PageReads: ph.led.PageReads,
+		})
 		e.m.rowsMaterialized.Add(int64(len(res.IDs)))
 	}()
 	mainRows := uint64(v.MainRows())
@@ -516,17 +467,18 @@ func (e *Executor) materializeParallel(v *table.View, res *Result, project []int
 			needGroup = true
 		}
 	}
+	group := v.Group()
 	res.Rows = make([][]value.Value, len(res.IDs))
-	nChunks := chunkCount(len(res.IDs), len(ws))
-	return runMorsels(ws, nChunks, func(w *worker, m int) error {
+	nChunks := chunkCount(len(res.IDs), len(ph.ws))
+	return runMorsels(ph, nChunks, func(w *worker, m int) error {
 		lo, hi := chunkBounds(len(res.IDs), nChunks, m)
 		for i := lo; i < hi; i++ {
 			id := res.IDs[i]
 			row := make([]value.Value, len(project))
 			var groupRow []value.Value
-			if id < mainRows && needGroup && w.group != nil {
+			if id < mainRows && needGroup && group != nil {
 				var err error
-				groupRow, err = w.group.ReadRow(int(id))
+				groupRow, err = group.FetchRow(&w.led, int(id))
 				if err != nil {
 					return err
 				}
@@ -537,8 +489,11 @@ func (e *Executor) materializeParallel(v *table.View, res *Result, project []int
 						row[j] = groupRow[gf]
 						continue
 					}
-					w.touches += 2 // value vector + dictionary
+					w.led.Touches += 2 // value vector + dictionary
 				}
+				// Never an SSCG read (those came with groupRow), so the
+				// View's ledger, which belongs to the driving goroutine,
+				// stays untouched.
 				val, err := v.GetValue(id, c)
 				if err != nil {
 					return err

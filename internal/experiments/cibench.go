@@ -273,7 +273,7 @@ func ciRecovery(seed int64, s *schema.Schema, registry *metrics.Registry) (time.
 	if h.tbl == nil || h.tbl.VisibleCount() != commits {
 		return 0, fmt.Errorf("ci recovery replayed %d of %d commits", h.rows, commits)
 	}
-	return device.DRAM.SequentialReadTime(rstats.Bytes, 1), nil
+	return storage.Price(device.Profile{}, 1, storage.Ledger{SeqStreams: 1, SeqBytes: rstats.Bytes}).DRAM, nil
 }
 
 // ciReplayHandler applies replayed records into a fresh engine table.

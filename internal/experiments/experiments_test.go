@@ -272,3 +272,13 @@ func TestReportRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestPScanDeterministic renders the parallel-scan experiment twice: the
+// modeled parallel costs come from counted work, never from goroutine
+// scheduling, so the reports are identical.
+func TestPScanDeterministic(t *testing.T) {
+	a := run(t, "pscan", PScan).String()
+	if b := run(t, "pscan", PScan).String(); a != b {
+		t.Errorf("pscan differs between runs:\n%s\n%s", a, b)
+	}
+}

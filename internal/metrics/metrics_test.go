@@ -85,7 +85,7 @@ func TestNilSafety(t *testing.T) {
 	var tr *Trace
 	tr.Op(OperatorTrace{})
 	tr.Predicate(PredicateTrace{})
-	tr.AddDRAM(10)
+	tr.AddCost(10, 0, 0)
 	tr.AddWorkerMorsels([]int64{1, 2})
 	if tr.String() != "(no trace)" {
 		t.Error("nil trace renders content")
@@ -207,7 +207,7 @@ func TestTraceString(t *testing.T) {
 	tr.Op(OperatorTrace{Name: "scan", Partition: "main", Path: "mrc", Column: 1, RowsIn: 100, RowsOut: 10})
 	tr.Op(OperatorTrace{Name: "probe", Partition: "main", Path: "sscg", Column: 2,
 		SwitchedToProbe: true, CandidateFraction: 0.00005, RowsIn: 10, RowsOut: 3})
-	tr.AddDRAM(500)
+	tr.AddCost(500, 0, 0)
 	tr.AddWorkerMorsels([]int64{2, 1})
 	tr.AddWorkerMorsels([]int64{1, 1, 1})
 	if got := tr.WorkerMorsels; len(got) != 3 || got[0] != 3 || got[1] != 2 || got[2] != 1 {

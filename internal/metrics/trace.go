@@ -41,7 +41,8 @@ type Trace struct {
 	DRAMNs int64 `json:"dram_ns"`
 	// DeviceNs is the modeled secondary-storage cost in nanoseconds.
 	DeviceNs int64 `json:"device_ns"`
-	// PageReads is the number of timed secondary-storage page reads.
+	// PageReads is the number of secondary-storage page reads the query
+	// made (AMM cache hits excluded).
 	PageReads int64 `json:"page_reads"`
 	// StartNs is the query's wall-clock start (unix nanos); the first
 	// operator's interval opens here. Set by the executor.
@@ -95,7 +96,7 @@ type OperatorTrace struct {
 	// Morsels is the number of work units the operator fanned out
 	// (0 on the serial path).
 	Morsels int `json:"morsels,omitempty"`
-	// PageReads is the number of timed secondary-storage page reads the
+	// PageReads is the number of secondary-storage page reads the
 	// operator caused (0 for DRAM-only operators).
 	PageReads int64 `json:"page_reads,omitempty"`
 	// StartNs and EndNs bound the operator's wall-clock interval (unix
@@ -141,10 +142,13 @@ func (t *Trace) Predicate(p PredicateTrace) {
 	}
 }
 
-// AddDRAM charges modeled DRAM nanoseconds to the trace (no-op on nil).
-func (t *Trace) AddDRAM(ns int64) {
+// AddCost adds one priced ledger of the query — modeled DRAM and device
+// nanoseconds and its device page reads — to the trace (no-op on nil).
+func (t *Trace) AddCost(dramNs, deviceNs, pageReads int64) {
 	if t != nil {
-		t.DRAMNs += ns
+		t.DRAMNs += dramNs
+		t.DeviceNs += deviceNs
+		t.PageReads += pageReads
 	}
 }
 

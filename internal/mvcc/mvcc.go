@@ -91,6 +91,16 @@ type Manager struct {
 	lastCommit Timestamp
 	nextTx     TxID
 	active     map[TxID]Timestamp // snapshot of every unfinished transaction
+	// inflight holds commit timestamps allocated but not yet published
+	// (their rows not yet stamped). visible, the snapshot new readers
+	// get, stops below the oldest of them, so a reader never sees a
+	// commit half applied, nor a row appear between two queries of one
+	// transaction. A commit is acknowledged only once visible reaches
+	// its timestamp (published signals each advance), so an acked write
+	// is always readable by the client that made it.
+	inflight  map[Timestamp]struct{}
+	visible   Timestamp
+	published *sync.Cond
 
 	// gate is the commit gate: every commit holds it shared from
 	// timestamp allocation through write publication, and a checkpoint
@@ -114,7 +124,9 @@ type Manager struct {
 // NewManager returns a manager; timestamp 0 is "before all data", so
 // freshly loaded (non-transactional) data is stamped with timestamp 1.
 func NewManager() *Manager {
-	return &Manager{lastCommit: 1, nextTx: 1, active: make(map[TxID]Timestamp)}
+	m := &Manager{lastCommit: 1, visible: 1, nextTx: 1, active: make(map[TxID]Timestamp), inflight: make(map[Timestamp]struct{})}
+	m.published = sync.NewCond(&m.mu)
+	return m
 }
 
 // Observe registers transaction-lifecycle counters (mvcc.tx.begin,
@@ -129,7 +141,7 @@ func (m *Manager) Observe(r *metrics.Registry) {
 func (m *Manager) Begin() *Tx {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tx := &Tx{id: m.nextTx, snapshot: m.lastCommit, mgr: m}
+	tx := &Tx{id: m.nextTx, snapshot: m.visible, mgr: m}
 	m.nextTx++
 	m.active[tx.id] = tx.snapshot
 	m.cBegin.Inc()
@@ -145,7 +157,7 @@ func (m *Manager) Begin() *Tx {
 func (m *Manager) OldestActiveSnapshot() Timestamp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	oldest := m.lastCommit
+	oldest := m.visible
 	for _, snap := range m.active {
 		if snap < oldest {
 			oldest = snap
@@ -154,12 +166,12 @@ func (m *Manager) OldestActiveSnapshot() Timestamp {
 	return oldest
 }
 
-// LastCommit returns the newest commit timestamp (the snapshot new
-// transactions will read).
+// LastCommit returns the newest commit timestamp at and below which
+// every commit is published (the snapshot new transactions will read).
 func (m *Manager) LastCommit() Timestamp {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.lastCommit
+	return m.visible
 }
 
 // SetDurability wires a write-ahead log into the commit path. Call it
@@ -173,6 +185,7 @@ func (m *Manager) AdvanceTo(ts Timestamp) {
 	defer m.mu.Unlock()
 	if ts > m.lastCommit {
 		m.lastCommit = ts
+		m.advanceLocked()
 	}
 }
 
@@ -187,18 +200,56 @@ func (m *Manager) QuiescedLastCommit() Timestamp {
 	return m.LastCommit()
 }
 
-// allocLocked assigns the next commit timestamp and retires t from the
-// active set; called (possibly via the durability layer) under the
-// commit gate.
+// allocLocked assigns the next commit timestamp, holds it in flight
+// until publish, and retires t from the active set; called (possibly
+// via the durability layer) under the commit gate.
 func (m *Manager) allocLocked(t *Tx) Timestamp {
 	m.mu.Lock()
 	m.lastCommit++
 	ts := m.lastCommit
+	m.inflight[ts] = struct{}{}
 	if t != nil {
 		delete(m.active, t.id)
 	}
 	m.mu.Unlock()
 	return ts
+}
+
+// publish ends ts's in-flight window once its writes are stamped (or
+// rolled back): snapshots may now include it, together with every
+// later commit already published.
+func (m *Manager) publish(ts Timestamp) {
+	m.mu.Lock()
+	delete(m.inflight, ts)
+	m.advanceLocked()
+	m.mu.Unlock()
+}
+
+// advanceLocked moves visible to the newest timestamp with no in-flight
+// commit at or below it and wakes commits waiting to be acknowledged;
+// caller holds m.mu.
+func (m *Manager) advanceLocked() {
+	v := m.lastCommit
+	for ts := range m.inflight {
+		if ts <= v {
+			v = ts - 1
+		}
+	}
+	if v != m.visible {
+		m.visible = v
+		m.published.Broadcast()
+	}
+}
+
+// awaitVisible blocks until snapshots include ts, that is until every
+// commit allocated before it is published too. Commits call it after
+// leaving the commit gate, just before they acknowledge.
+func (m *Manager) awaitVisible(ts Timestamp) {
+	m.mu.Lock()
+	for m.visible < ts {
+		m.published.Wait()
+	}
+	m.mu.Unlock()
 }
 
 // Commit makes the transaction durable (when a log is configured) and
@@ -244,6 +295,9 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 			for i := len(t.onAbort) - 1; i >= 0; i-- {
 				t.onAbort[i]()
 			}
+			if allocated {
+				m.publish(ts)
+			}
 			t.status = Aborted
 			m.cAbort.Inc()
 			return 0, fmt.Errorf("mvcc: commit not durable, rolled back: %w", err)
@@ -254,7 +308,9 @@ func (m *Manager) CommitCtx(ctx context.Context, t *Tx) (Timestamp, error) {
 	for _, fn := range t.onCommit {
 		fn(ts)
 	}
+	m.publish(ts)
 	m.gate.RUnlock()
+	m.awaitVisible(ts)
 	t.status = Committed
 	m.cCommit.Inc()
 	return ts, nil
@@ -269,11 +325,26 @@ func (m *Manager) BulkCommit(ops []RedoOp, apply func(ts Timestamp) error) (Time
 // bulk write, logs ops (when durability is configured) and runs apply
 // with the timestamp — all under the commit gate, so a concurrent
 // checkpoint either sees the rows applied or replays their log record,
-// never neither.
+// never neither. Like CommitCtx it returns once the rows are visible
+// to new snapshots.
 func (m *Manager) BulkCommitCtx(ctx context.Context, ops []RedoOp, apply func(ts Timestamp) error) (Timestamp, error) {
+	ts, err := m.bulkCommit(ctx, ops, apply)
+	if ts != 0 {
+		m.awaitVisible(ts)
+	}
+	return ts, err
+}
+
+// bulkCommit is BulkCommitCtx up to publication, under the commit gate.
+func (m *Manager) bulkCommit(ctx context.Context, ops []RedoOp, apply func(ts Timestamp) error) (Timestamp, error) {
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 	var ts Timestamp
+	defer func() {
+		if ts != 0 {
+			m.publish(ts)
+		}
+	}()
 	if m.dur != nil && len(ops) > 0 {
 		span := trace.FromContext(ctx).Child("wal.commit", trace.Int("redo_ops", int64(len(ops))))
 		_, err := m.dur.AppendCommit(trace.NewContext(ctx, span), func() Timestamp {

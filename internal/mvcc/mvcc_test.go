@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBeginAssignsIncreasingIDs(t *testing.T) {
@@ -229,5 +230,151 @@ func TestConcurrentTransactions(t *testing.T) {
 	final := m.Begin()
 	if got := v.LiveAt(final.Snapshot()); got != writers*rowsPer {
 		t.Errorf("LiveAt = %d, want %d", got, writers*rowsPer)
+	}
+}
+
+// TestSnapshotExcludesUnpublishedCommit begins a reader while another
+// transaction's commit has its timestamp but has not yet stamped its
+// row. The reader's snapshot must stop below that timestamp: reading at
+// it would make the row appear between two queries of one transaction.
+func TestSnapshotExcludesUnpublishedCommit(t *testing.T) {
+	m := NewManager()
+	v := NewVersions()
+	w := m.Begin()
+	row := v.AppendPending(w.ID())
+	inCommit := make(chan struct{})
+	release := make(chan struct{})
+	w.OnCommit(func(ts Timestamp) {
+		close(inCommit)
+		<-release
+		v.CommitInsert(row, ts)
+	})
+	committed := make(chan Timestamp, 1)
+	go func() {
+		ts, err := m.Commit(w)
+		if err != nil {
+			t.Error(err)
+		}
+		committed <- ts
+	}()
+	<-inCommit
+	r := m.Begin()
+	before := v.Visible(row, r.Snapshot(), r.ID())
+	close(release)
+	ts := <-committed
+	if after := v.Visible(row, r.Snapshot(), r.ID()); before || after {
+		t.Fatalf("reader at snapshot %d saw the row before (%v) or after (%v) its commit at %d published",
+			r.Snapshot(), before, after, ts)
+	}
+	if got := m.LastCommit(); got != ts {
+		t.Fatalf("LastCommit = %d after the commit published, want %d", got, ts)
+	}
+}
+
+// TestCommitAckedOnlyOnceVisible holds a lower-timestamp commit inside
+// its publication while a higher-timestamp commit runs. The higher one
+// must not acknowledge until snapshots include it: a fresh transaction
+// begun after its Commit returns has to see its row.
+func TestCommitAckedOnlyOnceVisible(t *testing.T) {
+	m := NewManager()
+	v := NewVersions()
+	a := m.Begin()
+	rowA := v.AppendPending(a.ID())
+	inCommit := make(chan struct{})
+	release := make(chan struct{})
+	a.OnCommit(func(ts Timestamp) {
+		close(inCommit)
+		<-release
+		v.CommitInsert(rowA, ts)
+	})
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		if _, err := m.Commit(a); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-inCommit
+
+	b := m.Begin()
+	rowB := v.AppendPending(b.ID())
+	b.OnCommit(func(ts Timestamp) { v.CommitInsert(rowB, ts) })
+	bDone := make(chan Timestamp, 1)
+	go func() {
+		ts, err := m.Commit(b)
+		if err != nil {
+			t.Error(err)
+		}
+		bDone <- ts
+	}()
+	var tsB Timestamp
+	select {
+	case tsB = <-bDone:
+		// Acked while the lower commit is still unpublished: it must
+		// be visible all the same.
+	case <-time.After(50 * time.Millisecond):
+	}
+	checkVisible := func(ts Timestamp) {
+		r := m.Begin()
+		if !v.Visible(rowB, r.Snapshot(), r.ID()) {
+			t.Fatalf("commit at %d acknowledged, but a transaction begun after it (snapshot %d) does not see its row",
+				ts, r.Snapshot())
+		}
+	}
+	if tsB != 0 {
+		checkVisible(tsB)
+	}
+	close(release)
+	<-aDone
+	if tsB == 0 {
+		tsB = <-bDone
+		checkVisible(tsB)
+	}
+	if got := m.LastCommit(); got != tsB {
+		t.Fatalf("LastCommit = %d after both commits, want %d", got, tsB)
+	}
+}
+
+// TestBulkCommitAckedOnlyOnceVisible is the bulk-load form: a bulk
+// commit that gets its timestamp while a lower one is unpublished
+// returns only once its rows are visible.
+func TestBulkCommitAckedOnlyOnceVisible(t *testing.T) {
+	m := NewManager()
+	v := NewVersions()
+	inApply := make(chan struct{})
+	release := make(chan struct{})
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		if _, err := m.BulkCommit(nil, func(ts Timestamp) error {
+			close(inApply)
+			<-release
+			v.AppendCommitted(ts)
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-inApply
+	bDone := make(chan Timestamp, 1)
+	go func() {
+		ts, err := m.BulkCommit(nil, func(ts Timestamp) error {
+			v.AppendCommitted(ts)
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		bDone <- ts
+	}()
+	select {
+	case ts := <-bDone:
+		t.Fatalf("bulk commit at %d acknowledged while snapshots stop at %d", ts, m.LastCommit())
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	<-aDone
+	if ts := <-bDone; m.LastCommit() < ts {
+		t.Fatalf("bulk commit at %d acknowledged while snapshots stop at %d", ts, m.LastCommit())
 	}
 }

@@ -324,7 +324,7 @@ func (s *Server) attachSpans(e *metrics.TraceEntry) traceEntry {
 	if err != nil {
 		return out
 	}
-	spans := s.Spans.ByTrace(id)
+	spans := trace.ByTrace(s.Spans, id)
 	if len(spans) == 0 {
 		return out
 	}

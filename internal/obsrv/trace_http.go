@@ -38,7 +38,7 @@ func (s *Server) serveTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	spans := s.Spans.ByTrace(id)
+	spans := trace.ByTrace(s.Spans, id)
 	if len(spans) == 0 {
 		http.Error(w, "no spans for trace "+id.String()+" (aged out or never sampled)", http.StatusNotFound)
 		return

@@ -86,7 +86,7 @@ func TestTracePropagation(t *testing.T) {
 	for _, send := range sends {
 		// The server span ends before the response frame is written, so
 		// by the time the client call returned it is in the server ring.
-		srvSpans := serverTracer.Ring().ByTrace(send.Trace)
+		srvSpans := trace.ByTrace(serverTracer.Ring(), send.Trace)
 		reqs := findSpans(srvSpans, "server.request")
 		if len(reqs) != 1 {
 			t.Fatalf("trace %s: want 1 server.request span, got %d", send.Trace, len(reqs))

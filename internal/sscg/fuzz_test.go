@@ -90,7 +90,7 @@ func FuzzRowRoundtrip(f *testing.F) {
 		}
 		for i := 0; i < 20; i++ {
 			r, c := rng.Intn(rows), rng.Intn(len(fields))
-			got, err := g.ReadField(r, c)
+			got, err := g.ReadField(nil, r, c)
 			if err != nil {
 				t.Fatalf("ReadField(%d, %d): %v", r, c, err)
 			}
@@ -126,7 +126,7 @@ func FuzzRowRoundtrip(f *testing.F) {
 		// to that range (the morsel-driven executor's contract).
 		lo := rng.Intn(rows + 1)
 		hi := lo + rng.Intn(rows+1-lo)
-		got, err = g.ScanRows(field, pred, lo, hi, nil, nil)
+		got, err = g.ScanRows(nil, field, pred, lo, hi, nil, nil)
 		if err != nil {
 			t.Fatalf("ScanRows(%d, %d): %v", lo, hi, err)
 		}

@@ -178,35 +178,9 @@ func (g *Group) PagesPerReconstruction() int { return g.pagesPerRow }
 // to it so no page is read by two workers.
 func (g *Group) RowsPerPage() int { return g.rowsPerPage }
 
-// WithBacking returns a read-only view of the group whose page reads go
-// through store instead of the group's own. The layout, page ids and
-// cache stay shared; the page buffer pool is private to the view, so
-// parallel workers holding one view each never contend on buffers.
-// Parallel scan workers pass per-worker timed forks of the same device
-// so device time lands on per-worker clocks.
-func (g *Group) WithBacking(store storage.Store) *Group {
-	ng := &Group{
-		fields:      g.fields,
-		offsets:     g.offsets,
-		rowWidth:    g.rowWidth,
-		rows:        g.rows,
-		rowsPerPage: g.rowsPerPage,
-		pagesPerRow: g.pagesPerRow,
-		pages:       g.pages,
-		store:       store,
-		cache:       g.cache,
-	}
-	ng.bufs.New = func() any {
-		b := make([]byte, storage.PageSize)
-		return &b
-	}
-	return ng
-}
-
 // Free invalidates the group's pages in the cache and returns them to
 // the store's freelist (a no-op for stores without storage.PageFreer).
-// Call it only on the canonical group — never on WithBacking views —
-// and only once no reader can touch the group again: the online merge
+// Call it only once no reader can touch the group again: the online merge
 // frees a retired main partition's group when the last pinned table
 // view referencing it is released, and a failed rebuild frees the
 // partially built group it abandons.
@@ -222,12 +196,17 @@ func (g *Group) Free() error {
 }
 
 // readPage fetches a page via the cache (if configured) or the store,
-// passing the content to fn. The content is only valid during fn.
-func (g *Group) readPage(id storage.PageID, fn func(data []byte) error) error {
+// passing the content to fn, and counts a page read in led (may be nil)
+// when the page came from the device rather than the cache. The content is only valid during
+// fn.
+func (g *Group) readPage(led *storage.Ledger, id storage.PageID, fn func(data []byte) error) error {
 	if g.cache != nil {
-		data, _, err := g.cache.GetVia(id, g.store)
+		data, hit, err := g.cache.Get(id)
 		if err != nil {
 			return err
+		}
+		if !hit && led != nil {
+			led.PageReads++
 		}
 		defer g.cache.Release(id)
 		return fn(data)
@@ -236,6 +215,9 @@ func (g *Group) readPage(id storage.PageID, fn func(data []byte) error) error {
 	defer g.bufs.Put(bufp)
 	if err := g.store.ReadPage(id, *bufp); err != nil {
 		return err
+	}
+	if led != nil {
+		led.PageReads++
 	}
 	return fn(*bufp)
 }
@@ -256,9 +238,15 @@ func (g *Group) checkField(field int) error {
 	return nil
 }
 
-// ReadRow reconstructs the full row: a single page access for packed
-// layouts, pagesPerRow consecutive accesses for spanning layouts.
-func (g *Group) ReadRow(row int) ([]value.Value, error) {
+// ReadRow reconstructs the full row without counting its page reads;
+// it is FetchRow for callers that keep no ledger.
+func (g *Group) ReadRow(row int) ([]value.Value, error) { return g.FetchRow(nil, row) }
+
+// FetchRow reconstructs the full row: a single page access for packed
+// layouts, pagesPerRow consecutive accesses for spanning layouts. Every
+// ledger-taking read counts its device page reads in led (nil counts
+// nothing).
+func (g *Group) FetchRow(led *storage.Ledger, row int) ([]value.Value, error) {
 	if err := g.checkRow(row); err != nil {
 		return nil, err
 	}
@@ -266,7 +254,7 @@ func (g *Group) ReadRow(row int) ([]value.Value, error) {
 	if g.pagesPerRow == 1 {
 		pageIdx := row / g.rowsPerPage
 		off := (row % g.rowsPerPage) * g.rowWidth
-		err := g.readPage(g.pages[pageIdx], func(data []byte) error {
+		err := g.readPage(led, g.pages[pageIdx], func(data []byte) error {
 			copy(rowBytes, data[off:off+g.rowWidth])
 			return nil
 		})
@@ -277,7 +265,7 @@ func (g *Group) ReadRow(row int) ([]value.Value, error) {
 		base := row * g.pagesPerRow
 		for p := 0; p < g.pagesPerRow; p++ {
 			off := p * storage.PageSize
-			err := g.readPage(g.pages[base+p], func(data []byte) error {
+			err := g.readPage(led, g.pages[base+p], func(data []byte) error {
 				copy(rowBytes[off:], data)
 				return nil
 			})
@@ -304,7 +292,7 @@ func (g *Group) decodeRow(rowBytes []byte) ([]value.Value, error) {
 
 // ReadField reads a single field of a row, touching only the page(s)
 // covering its slot.
-func (g *Group) ReadField(row, field int) (value.Value, error) {
+func (g *Group) ReadField(led *storage.Ledger, row, field int) (value.Value, error) {
 	if err := g.checkRow(row); err != nil {
 		return value.Value{}, err
 	}
@@ -316,7 +304,7 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 	if g.pagesPerRow == 1 {
 		pageIdx := row / g.rowsPerPage
 		off := (row%g.rowsPerPage)*g.rowWidth + g.offsets[field]
-		err := g.readPage(g.pages[pageIdx], func(data []byte) error {
+		err := g.readPage(led, g.pages[pageIdx], func(data []byte) error {
 			copy(slot, data[off:off+len(slot)])
 			return nil
 		})
@@ -330,7 +318,7 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 			pageIdx := (start + got) / storage.PageSize
 			pageOff := (start + got) % storage.PageSize
 			n := min(len(slot)-got, storage.PageSize-pageOff)
-			err := g.readPage(g.pages[base+pageIdx], func(data []byte) error {
+			err := g.readPage(led, g.pages[base+pageIdx], func(data []byte) error {
 				copy(slot[got:got+n], data[pageOff:pageOff+n])
 				return nil
 			})
@@ -345,16 +333,17 @@ func (g *Group) ReadField(row, field int) (value.Value, error) {
 
 // Scan evaluates pred against every row's field, appending matching
 // positions to out; skip (may be nil) masks rows. It reads every page of
-// the group once — the expensive path the placement model avoids.
+// the group once — the expensive path the placement model avoids — and
+// counts no page reads: it is ScanRows over all rows without a ledger.
 func (g *Group) Scan(field int, pred func(value.Value) bool, out []uint32, skip func(int) bool) ([]uint32, error) {
-	return g.ScanRows(field, pred, 0, g.rows, out, skip)
+	return g.ScanRows(nil, field, pred, 0, g.rows, out, skip)
 }
 
 // ScanRows evaluates pred against rows in [rowLo, rowHi), appending
 // matching positions to out in ascending row order. Morsel-driven
 // parallel scans call it with disjoint row ranges; ranges aligned to
 // RowsPerPage boundaries read every covered page exactly once.
-func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
+func (g *Group) ScanRows(led *storage.Ledger, field int, pred func(value.Value) bool, rowLo, rowHi int, out []uint32, skip func(int) bool) ([]uint32, error) {
 	if err := g.checkField(field); err != nil {
 		return nil, err
 	}
@@ -373,7 +362,7 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 			first := pageIdx * g.rowsPerPage
 			lo := max(first, rowLo)
 			hi := min(first+g.rowsPerPage, rowHi)
-			err := g.readPage(g.pages[pageIdx], func(data []byte) error {
+			err := g.readPage(led, g.pages[pageIdx], func(data []byte) error {
 				for row := lo; row < hi; row++ {
 					if skip != nil && skip(row) {
 						continue
@@ -399,7 +388,7 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 		if skip != nil && skip(row) {
 			continue
 		}
-		v, err := g.ReadField(row, field)
+		v, err := g.ReadField(led, row, field)
 		if err != nil {
 			return nil, err
 		}
@@ -412,12 +401,12 @@ func (g *Group) ScanRows(field int, pred func(value.Value) bool, rowLo, rowHi in
 
 // Probe evaluates pred at the given candidate positions only, appending
 // matches to out (point accesses, one page read per candidate).
-func (g *Group) Probe(field int, pred func(value.Value) bool, candidates []uint32, out []uint32) ([]uint32, error) {
+func (g *Group) Probe(led *storage.Ledger, field int, pred func(value.Value) bool, candidates []uint32, out []uint32) ([]uint32, error) {
 	if err := g.checkField(field); err != nil {
 		return nil, err
 	}
 	for _, pos := range candidates {
-		v, err := g.ReadField(int(pos), field)
+		v, err := g.ReadField(led, int(pos), field)
 		if err != nil {
 			return nil, err
 		}

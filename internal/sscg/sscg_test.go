@@ -84,14 +84,14 @@ func TestReadField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := g.ReadField(42, 3)
+	v, err := g.ReadField(nil, 42, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Int() != 42003 {
 		t.Errorf("ReadField = %d", v.Int())
 	}
-	if _, err := g.ReadField(0, 9); err == nil {
+	if _, err := g.ReadField(nil, 0, 9); err == nil {
 		t.Error("out-of-range field accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestSpanningRowsWiderThanPage(t *testing.T) {
 	// would require field at byte 4088..4096; field 511 starts at
 	// 511*8 = 4088, field 512 at 4096. Both must decode correctly.
 	for _, f := range []int{511, 512} {
-		v, err := g.ReadField(3, f)
+		v, err := g.ReadField(nil, 3, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.Probe(1, func(v value.Value) bool { return v.Int()%2000 == 1 }, []uint32{0, 2, 4, 6}, nil)
+	got, err := g.Probe(nil, 1, func(v value.Value) bool { return v.Int()%2000 == 1 }, []uint32{0, 2, 4, 6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestProbe(t *testing.T) {
 	if len(got) != 4 {
 		t.Errorf("Probe = %v", got)
 	}
-	if _, err := g.Probe(7, nil, []uint32{0}, nil); err == nil {
+	if _, err := g.Probe(nil, 7, nil, []uint32{0}, nil); err == nil {
 		t.Error("out-of-range probe field accepted")
 	}
 }
@@ -279,7 +279,7 @@ func TestSpanningScanAndProbe(t *testing.T) {
 	if len(got) != 1 || got[0] != 7 {
 		t.Errorf("spanning Scan = %v", got)
 	}
-	got, err = g.Probe(0, func(v value.Value) bool { return true }, []uint32{3, 9}, nil)
+	got, err = g.Probe(nil, 0, func(v value.Value) bool { return true }, []uint32{3, 9}, nil)
 	if err != nil || len(got) != 2 {
 		t.Errorf("spanning Probe = %v, %v", got, err)
 	}

@@ -1,9 +1,10 @@
 // Package storage provides the paged secondary-storage abstraction used
 // by SSCGs: fixed 4 KB pages addressed by PageID, with an in-memory
 // store for tests and deterministic benchmarks and a file-backed store
-// for real IO. A timed wrapper charges modeled device latencies to a
-// virtual clock, which substitutes for the paper's physical SSD/HDD/
-// 3D XPoint testbed.
+// for real IO. Readers count their page and DRAM accesses in a private
+// Ledger; Price applies the modeled device latencies once the work
+// finishes, and a timed wrapper books the result into a virtual clock,
+// which substitutes for the paper's physical SSD/HDD/3D XPoint testbed.
 package storage
 
 import (
@@ -73,7 +74,7 @@ func checkBuf(buf []byte) error {
 
 // MemStore is an in-memory page store. It is the default backend for
 // simulations: data movement is real, device timing is modeled
-// separately by the TimedStore wrapper.
+// separately (see Ledger and Price).
 type MemStore struct {
 	mu    sync.RWMutex
 	pages [][]byte

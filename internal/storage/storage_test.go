@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"tierdb/internal/device"
 )
@@ -130,10 +129,13 @@ func TestTimedStoreChargesClock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if clock.Elapsed() != 0 || clock.Reads() != 0 {
+		t.Fatal("page IO booked time by itself; only a settled ledger may")
+	}
+	c := Charge(ts, Ledger{PageReads: n})
 	want := device.XPoint.RandomReadTime(n, 1)
-	got := clock.Elapsed()
-	if got < want*9/10 || got > want*11/10 {
-		t.Errorf("clock = %v, want ~%v", got, want)
+	if got := clock.Elapsed(); got != want || c.Read != want {
+		t.Errorf("clock = %v, cost = %v, want %v", got, c.Read, want)
 	}
 	if clock.Reads() != n {
 		t.Errorf("Reads = %d, want %d", clock.Reads(), n)
@@ -147,39 +149,59 @@ func TestTimedStoreChargesClock(t *testing.T) {
 func TestTimedStoreWriteCharges(t *testing.T) {
 	var clock Clock
 	ts := NewTimedStore(NewMemStore(), device.CSSD, &clock, 1)
-	id, _ := ts.Allocate()
-	buf := make([]byte, PageSize)
-	if err := ts.WritePage(id, buf); err != nil {
-		t.Fatal(err)
+	Charge(ts, Ledger{PageWrites: 1})
+	if clock.Elapsed() != device.CSSD.WriteLatency {
+		t.Errorf("write charged %v, want %v", clock.Elapsed(), device.CSSD.WriteLatency)
 	}
-	if clock.Elapsed() < device.CSSD.WriteLatency {
-		t.Errorf("write charged %v, want >= %v", clock.Elapsed(), device.CSSD.WriteLatency)
+	if clock.Reads() != 0 {
+		t.Errorf("a write booked %d reads", clock.Reads())
 	}
 }
 
 func TestTimedStoreThreads(t *testing.T) {
-	var clock Clock
-	ts := NewTimedStore(NewMemStore(), device.HDD, &clock, 1)
-	id, _ := ts.Allocate()
-	buf := make([]byte, PageSize)
-	if err := ts.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	qd1 := clock.Elapsed()
-	clock.Reset()
-	ts.SetThreads(8)
-	if err := ts.ReadPage(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if clock.Elapsed() <= qd1 {
+	var qd1, qd8 Clock
+	Charge(NewTimedStore(NewMemStore(), device.HDD, &qd1, 1), Ledger{PageReads: 1})
+	ts := NewTimedStore(NewMemStore(), device.HDD, &qd8, 8)
+	Charge(ts, Ledger{PageReads: 1})
+	if qd8.Elapsed() <= qd1.Elapsed() {
 		t.Error("HDD concurrent read should be slower than QD1")
 	}
 	if ts.Profile().Name != "HDD" {
 		t.Errorf("Profile = %q", ts.Profile().Name)
 	}
-	if ts.Clock() != &clock {
-		t.Error("Clock accessor mismatch")
+}
+
+func TestPriceLinearAndParallelShare(t *testing.T) {
+	one := Price(device.XPoint, 1, Ledger{PageReads: 1, Touches: 1})
+	many := Price(device.XPoint, 1, Ledger{PageReads: 7, Touches: 7})
+	if many.Read != 7*one.Read || many.DRAM != 7*one.DRAM || one.DRAM != DRAMTouch {
+		t.Errorf("serial price not linear: one %+v, seven %+v", one, many)
 	}
-	var elapsed time.Duration = ts.Clock().Elapsed()
-	_ = elapsed
+	var sum Ledger
+	sum.Add(Ledger{PageReads: 3, Touches: 2})
+	sum.Add(Ledger{PageReads: 4, Touches: 5})
+	if Price(device.XPoint, 1, sum) != many {
+		t.Error("a summed ledger must price like its parts")
+	}
+	// A 4-worker phase costs its per-worker share, rounded up, at four
+	// concurrent streams.
+	par := Price(device.XPoint, 1, Ledger{Workers: 4, PageReads: 10, Touches: 3})
+	if want := (10*device.XPoint.RandomReadTime(1, 4) + 3) / 4; par.Read != want {
+		t.Errorf("parallel read = %v, want %v", par.Read, want)
+	}
+	if want := (3*DRAMTouch + 3) / 4; par.DRAM != want {
+		t.Errorf("parallel DRAM = %v, want %v", par.DRAM, want)
+	}
+	// Sequential streams are priced each on its own share of the bytes.
+	seq := Price(device.XPoint, 1, Ledger{Workers: 4, SeqStreams: 4, SeqBytes: 4 << 20})
+	if want := device.DRAM.SequentialReadTime(1<<20, 4); seq.DRAM != want {
+		t.Errorf("4 streams over 4 MiB = %v, want %v", seq.DRAM, want)
+	}
+}
+
+func TestChargeUntimedPricesDRAMOnly(t *testing.T) {
+	c := Charge(NewMemStore(), Ledger{PageReads: 5, Touches: 2})
+	if c.Device() != 0 || c.DRAM != 2*DRAMTouch {
+		t.Errorf("untimed charge = %+v, want DRAM only", c)
+	}
 }

@@ -9,20 +9,28 @@ import (
 	"tierdb/internal/metrics"
 )
 
-// Clock accumulates modeled device time. It is the virtual clock the
-// reproduction uses instead of the paper's physical testbed: every page
-// access charges the modeled latency of the configured device, and
-// experiment harnesses report Clock totals as "measured" runtimes.
-// All methods are safe for concurrent use; concurrent workers each keep
-// a share of the modeled time, mirroring per-thread wall-clock.
+// Clock is the engine-wide sink of modeled time: the virtual clock the
+// reproduction reports instead of the paper's physical testbed. Work is
+// counted in private Ledgers and priced once when it finishes; each
+// priced ledger is added here once, never a page at a time, and
+// experiment harnesses report the totals as "measured" runtimes. Safe
+// for concurrent use.
 type Clock struct {
 	nanos atomic.Int64
 	reads atomic.Int64
 }
 
-// Advance adds d to the accumulated virtual time.
-func (c *Clock) Advance(d time.Duration) {
-	c.nanos.Add(int64(d))
+// Add books d of modeled time and reads page reads (no-op on nil).
+func (c *Clock) Add(d time.Duration, reads int64) {
+	if c == nil {
+		return
+	}
+	if d != 0 {
+		c.nanos.Add(int64(d))
+	}
+	if reads != 0 {
+		c.reads.Add(reads)
+	}
 }
 
 // Elapsed returns the accumulated virtual time.
@@ -30,7 +38,7 @@ func (c *Clock) Elapsed() time.Duration {
 	return time.Duration(c.nanos.Load())
 }
 
-// Reads returns the number of timed page reads.
+// Reads returns the number of booked page reads.
 func (c *Clock) Reads() int64 { return c.reads.Load() }
 
 // Reset zeroes the clock.
@@ -39,39 +47,11 @@ func (c *Clock) Reset() {
 	c.reads.Store(0)
 }
 
-// Absorb merges per-worker clocks into c after a parallel phase of
-// `workers` concurrent streams: the read count advances by the sum
-// (every page access really happened), the elapsed time by the phase's
-// modeled wall-clock — the slowest worker's share. Morsel-driven
-// scheduling keeps workers balanced, so the slowest worker's time is
-// the per-worker mean, charged here as sum/workers; using the mean
-// rather than the literal maximum keeps the model deterministic even
-// when the Go scheduler hands most morsels to one goroutine (few
-// cores, GOMAXPROCS=1). Workers charging private clocks and one Absorb
-// at the barrier replace a shared hot clock on the scan path.
-func (c *Clock) Absorb(workers int, clocks ...*Clock) {
-	if workers < 1 {
-		workers = 1
-	}
-	var nanos, reads int64
-	for _, w := range clocks {
-		if w == nil {
-			continue
-		}
-		nanos += w.nanos.Load()
-		reads += w.reads.Load()
-	}
-	if nanos > 0 {
-		c.nanos.Add((nanos + int64(workers) - 1) / int64(workers))
-	}
-	if reads > 0 {
-		c.reads.Add(reads)
-	}
-}
-
-// TimedStore wraps a Store and charges modeled device latencies for
-// every page access to a Clock. Threads is the concurrency level the
-// timing model assumes (queue-depth effects).
+// TimedStore wraps a Store with a device model: the device profile and
+// the stream count (queue depth) its ledgers are priced at, the clock
+// they are booked into, and the per-device instruments. Page IO passes
+// straight through; readers count their pages in their own Ledger and
+// settle it with Charge.
 type TimedStore struct {
 	inner   Store
 	profile device.Profile
@@ -80,9 +60,8 @@ type TimedStore struct {
 	m       storeInstruments
 }
 
-// storeInstruments holds the per-device metric handles. It is embedded
-// by value, so Fork copies the handles and worker views feed the same
-// instruments; all handles are nil (no-op) on unobserved stores.
+// storeInstruments holds the per-device metric handles; all are nil
+// (no-op) on unobserved stores.
 type storeInstruments struct {
 	pageReads      *metrics.Counter
 	pageWrites     *metrics.Counter
@@ -127,8 +106,9 @@ func metricName(name string) string {
 	return b.String()
 }
 
-// NewTimedStore wraps inner with the timing model of profile, charging
-// time to clock assuming `threads` concurrent access streams.
+// NewTimedStore wraps inner with the timing model of profile, booking
+// settled ledgers into clock and pricing serial work at `threads`
+// concurrent access streams.
 func NewTimedStore(inner Store, profile device.Profile, clock *Clock, threads int) *TimedStore {
 	if threads < 1 {
 		threads = 1
@@ -139,49 +119,28 @@ func NewTimedStore(inner Store, profile device.Profile, clock *Clock, threads in
 // Profile returns the device profile used for timing.
 func (s *TimedStore) Profile() device.Profile { return s.profile }
 
-// Clock returns the virtual clock time is charged to.
-func (s *TimedStore) Clock() *Clock { return s.clock }
-
-// Fork returns a view of the store that charges the given clock and
-// assumes `threads` concurrent access streams; the underlying device
-// and page data are shared. Parallel scan workers each fork a private
-// clock so device time accumulates without a shared hot counter, and
-// the executor merges the forks back with Clock.Absorb.
-func (s *TimedStore) Fork(clock *Clock, threads int) *TimedStore {
-	if threads < 1 {
-		threads = 1
+// charge prices a finished ledger and books its device share into the
+// clock and the device instruments, once.
+func (s *TimedStore) charge(l Ledger) Cost {
+	c := Price(s.profile, s.threads, l)
+	if l.PageReads == 0 && l.PageWrites == 0 {
+		return c
 	}
-	return &TimedStore{inner: s.inner, profile: s.profile, clock: clock, threads: threads, m: s.m}
+	s.clock.Add(c.Device(), l.PageReads)
+	s.m.pageReads.Add(l.PageReads)
+	s.m.readBytes.Add(l.PageReads * PageSize)
+	s.m.modeledReadNs.Add(int64(c.Read))
+	s.m.pageWrites.Add(l.PageWrites)
+	s.m.writeBytes.Add(l.PageWrites * PageSize)
+	s.m.modeledWriteNs.Add(int64(c.Write))
+	return c
 }
 
-// SetThreads adjusts the assumed concurrency level for subsequent
-// accesses.
-func (s *TimedStore) SetThreads(threads int) {
-	if threads < 1 {
-		threads = 1
-	}
-	s.threads = threads
-}
+// ReadPage implements Store.
+func (s *TimedStore) ReadPage(id PageID, buf []byte) error { return s.inner.ReadPage(id, buf) }
 
-// ReadPage implements Store, charging one random-read latency.
-func (s *TimedStore) ReadPage(id PageID, buf []byte) error {
-	d := s.profile.RandomReadTime(1, s.threads)
-	s.clock.Advance(d)
-	s.clock.reads.Add(1)
-	s.m.pageReads.Inc()
-	s.m.readBytes.Add(PageSize)
-	s.m.modeledReadNs.Add(int64(d))
-	return s.inner.ReadPage(id, buf)
-}
-
-// WritePage implements Store, charging one write latency.
-func (s *TimedStore) WritePage(id PageID, buf []byte) error {
-	s.clock.Advance(s.profile.WriteLatency)
-	s.m.pageWrites.Inc()
-	s.m.writeBytes.Add(PageSize)
-	s.m.modeledWriteNs.Add(int64(s.profile.WriteLatency))
-	return s.inner.WritePage(id, buf)
-}
+// WritePage implements Store.
+func (s *TimedStore) WritePage(id PageID, buf []byte) error { return s.inner.WritePage(id, buf) }
 
 // Allocate implements Store (untimed; allocation is metadata).
 func (s *TimedStore) Allocate() (PageID, error) { return s.inner.Allocate() }

@@ -9,6 +9,7 @@ import (
 	"tierdb/internal/delta"
 	"tierdb/internal/keyenc"
 	"tierdb/internal/mvcc"
+	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
 
@@ -40,17 +41,19 @@ func (t *Table) CreateCompositeIndex(cols []int) error {
 		}
 		seen[c] = true
 	}
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.buildCompositeLocked(cols)
+	return t.buildCompositeLocked(&led, cols)
 }
 
-func (t *Table) buildCompositeLocked(cols []int) error {
+func (t *Table) buildCompositeLocked(led *storage.Ledger, cols []int) error {
 	tree := bptree.New(value.String)
 	key := make([]value.Value, len(cols))
 	for row := 0; row < t.mainRows; row++ {
 		for i, c := range cols {
-			v, err := t.mainValueLocked(row, c)
+			v, err := t.mainValueLocked(led, row, c)
 			if err != nil {
 				return fmt.Errorf("table %s: build composite index: %w", t.name, err)
 			}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,11 +37,13 @@ import (
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
+	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
 
-// ErrMergeInProgress is returned when a merge is requested while
-// another one is between freeze and swap.
+// ErrMergeInProgress is returned by MergeOffline while an online merge
+// is between freeze and swap. Online merges never fail with it: a
+// second Merge or ApplyLayout joins the in-flight one.
 var ErrMergeInProgress = errors.New("table: merge already in progress")
 
 // quiesceSpins bounds the optimistic (lock-free) quiescence wait before
@@ -81,10 +84,10 @@ type mergeState struct {
 
 // mainTuple reconstructs one old-main row from the frozen structure
 // references (safe off-lock: MRCs and SSCGs are immutable).
-func (st *mergeState) mainTuple(pos int, nCols int) ([]value.Value, error) {
+func (st *mergeState) mainTuple(led *storage.Ledger, pos int, nCols int) ([]value.Value, error) {
 	out := make([]value.Value, nCols)
 	if st.group != nil {
-		groupRow, err := st.group.ReadRow(pos)
+		groupRow, err := st.group.FetchRow(led, pos)
 		if err != nil {
 			return nil, err
 		}
@@ -132,8 +135,9 @@ type builtMain struct {
 // the per-column value slices feed the equi-depth histograms — whose
 // sorted build pass yields the exact distinct count for free — and are
 // then reused as MRC build input, replacing the former O(columns x
-// rows) hash-set pass per column (see BenchmarkColumnStats).
-func (t *Table) buildMainParts(layout []bool, rows [][]value.Value) (*mainParts, error) {
+// rows) hash-set pass per column (see BenchmarkColumnStats). The SSCG's
+// page writes are counted in led.
+func (t *Table) buildMainParts(led *storage.Ledger, layout []bool, rows [][]value.Value) (*mainParts, error) {
 	nCols := t.schema.Len()
 	colVals := make([][]value.Value, nCols)
 	for c := range colVals {
@@ -194,6 +198,7 @@ func (t *Table) buildMainParts(layout []bool, rows [][]value.Value) (*mainParts,
 		if err != nil {
 			return nil, fmt.Errorf("table %s: merge build SSCG: %w", t.name, err)
 		}
+		led.PageWrites += int64(p.group.PageCount())
 	}
 	return p, nil
 }
@@ -201,8 +206,10 @@ func (t *Table) buildMainParts(layout []bool, rows [][]value.Value) (*mainParts,
 // Merge folds the delta into the main partition under the current
 // layout. The merge is online: queries and data modifications proceed
 // throughout; only the freeze and the final swap take the table lock
-// briefly. Concurrent Merge/ApplyLayout calls fail with
-// ErrMergeInProgress.
+// briefly. A Merge or ApplyLayout issued while another online merge is
+// in flight waits for it and then runs its own. A merge with nothing to
+// do is a no-op: no delta rows, no main row deleted since the last
+// merge, and the layout unchanged.
 func (t *Table) Merge() error {
 	return t.mergeOnline(nil)
 }
@@ -221,19 +228,23 @@ func (t *Table) ApplyLayout(layout []bool) error {
 // mergeOnline runs the three-phase online merge. A nil layout keeps the
 // current one. On rebuild failure the table keeps serving the old main
 // plus both deltas; the frozen delta is retained so a retry folds it.
+// The merge's page reads and writes are counted in one ledger, settled
+// on the store when the merge ends.
 func (t *Table) mergeOnline(layout []bool) error {
 	start := time.Now()
-	st, err := t.freezeForMerge(layout)
-	if err != nil {
-		return err
+	st := t.freezeForMerge(layout)
+	if st == nil {
+		return nil
 	}
+	var led storage.Ledger
+	defer t.charge(&led)
 	if h := t.hookAfterFreeze; h != nil {
 		h()
 	}
-	b, err := t.rebuild(st)
+	b, err := t.rebuild(&led, st)
 	if err != nil {
 		t.mu.Lock()
-		t.merging = false
+		t.endMergeLocked()
 		t.mu.Unlock()
 		t.cMergeFails.Inc()
 		return err
@@ -241,7 +252,7 @@ func (t *Table) mergeOnline(layout []bool) error {
 	if h := t.hookBeforeSwap; h != nil {
 		h()
 	}
-	if err := t.swapMain(st, b); err != nil {
+	if err := t.swapMain(&led, st, b); err != nil {
 		return err
 	}
 	t.hMergeNs.Observe(time.Since(start).Nanoseconds())
@@ -250,16 +261,22 @@ func (t *Table) mergeOnline(layout []bool) error {
 
 // freezeForMerge is phase 1: under a brief exclusive lock, freeze the
 // active delta (or reuse the frozen delta a failed merge left behind),
-// open a fresh active delta, and capture the rebuild inputs.
-func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
+// open a fresh active delta, and capture the rebuild inputs. It first
+// waits out an in-flight online merge; if there is then nothing to do
+// (see mergeWorkLocked) it returns a nil state.
+func (t *Table) freezeForMerge(layout []bool) *mergeState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.merging {
-		return nil, ErrMergeInProgress
+	for t.merging {
+		t.mergeDone.Wait()
 	}
 	if layout == nil {
 		layout = append([]bool(nil), t.layout...)
 	}
+	if !t.mergeWorkLocked(layout) {
+		return nil
+	}
+	t.mainDeleted.Store(false)
 	if t.frozen == nil {
 		t.frozen = t.delta
 		t.frozen.Freeze()
@@ -291,7 +308,24 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 	sort.Slice(st.compositeSets, func(a, b int) bool {
 		return compositeKeyName(st.compositeSets[a]) < compositeKeyName(st.compositeSets[b])
 	})
-	return st, nil
+	return st
+}
+
+// mergeWorkLocked is the one rule for whether a merge to layout has
+// anything to do: a frozen delta left by a failed merge, delta rows, a
+// main row deleted since the last freeze (its purge), or a new layout.
+// Caller holds t.mu.
+func (t *Table) mergeWorkLocked(layout []bool) bool {
+	return t.frozen != nil || t.delta.Rows() > 0 || t.mainDeleted.Load() || !slices.Equal(layout, t.layout)
+}
+
+// HasMergeWork reports whether Merge would rebuild the main partition
+// now. The merge scheduler checks it to skip, checkpoint included, a
+// queued request an earlier merge has already served.
+func (t *Table) HasMergeWork() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.mergeWorkLocked(t.layout)
 }
 
 // rebuild is phase 2: construct the shadow main partition from the old
@@ -299,7 +333,7 @@ func (t *Table) freezeForMerge(layout []bool) (*mergeState, error) {
 // Visibility at a fixed snapshot is stable under concurrent commits
 // (late deletes stamp end > snapshot; late inserts stamp begin >
 // snapshot), so the fold set is deterministic.
-func (t *Table) rebuild(st *mergeState) (*builtMain, error) {
+func (t *Table) rebuild(led *storage.Ledger, st *mergeState) (*builtMain, error) {
 	nCols := t.schema.Len()
 	var rows [][]value.Value
 	var sources []rowSource
@@ -313,14 +347,14 @@ func (t *Table) rebuild(st *mergeState) (*builtMain, error) {
 		if rs.Begin > st.snapshot || rs.End <= st.snapshot {
 			// Invisible at the snapshot but committed: carry the version
 			// interval so snapshots that still need it survive the swap.
-			tuple, err := st.mainTuple(pos, nCols)
+			tuple, err := st.mainTuple(led, pos, nCols)
 			if err != nil {
 				return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
 			}
 			carry = append(carry, carryRow{tuple: tuple, begin: rs.Begin, end: rs.End})
 			continue
 		}
-		tuple, err := st.mainTuple(pos, nCols)
+		tuple, err := st.mainTuple(led, pos, nCols)
 		if err != nil {
 			return nil, fmt.Errorf("table %s: merge read main row %d: %w", t.name, pos, err)
 		}
@@ -344,7 +378,7 @@ func (t *Table) rebuild(st *mergeState) (*builtMain, error) {
 		begins = append(begins, fv.State(pos).Begin)
 	}
 
-	parts, err := t.buildMainParts(st.layout, rows)
+	parts, err := t.buildMainParts(led, st.layout, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -410,7 +444,7 @@ func (b *builtMain) buildIndexes(s *schema.Schema, st *mergeState, rows [][]valu
 // swapMain is phase 3: wait for the retiring partitions to quiesce,
 // then atomically install the shadow main under the write lock,
 // reconciling writes that landed during the rebuild.
-func (t *Table) swapMain(st *mergeState, b *builtMain) error {
+func (t *Table) swapMain(led *storage.Ledger, st *mergeState, b *builtMain) error {
 	fv := st.frozen.Versions()
 	// Quiescence: no provisional insert or delete intent may remain on
 	// the retiring partitions, otherwise its commit callback could fire
@@ -491,7 +525,7 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 	if adoptErr != nil {
 		// Unreachable with a matching schema; treated as a failed merge
 		// (old main keeps serving, frozen delta retained for retry).
-		t.merging = false
+		t.endMergeLocked()
 		if b.parts.group != nil {
 			_ = b.parts.group.Free()
 		}
@@ -530,7 +564,7 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 	t.hists = b.parts.hists
 	t.frozen = nil
 	t.frozenRows = 0
-	t.merging = false
+	t.endMergeLocked()
 	t.epoch = newEpoch(b.parts.group)
 	t.cMerges.Inc()
 	t.cSwaps.Inc()
@@ -545,12 +579,12 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 
 	var idxErr error
 	for _, col := range lateIdx {
-		if err := t.buildIndexLocked(col); err != nil && idxErr == nil {
+		if err := t.buildIndexLocked(led, col); err != nil && idxErr == nil {
 			idxErr = err
 		}
 	}
 	for _, cols := range lateComp {
-		if err := t.buildCompositeLocked(cols); err != nil && idxErr == nil {
+		if err := t.buildCompositeLocked(led, cols); err != nil && idxErr == nil {
 			idxErr = err
 		}
 	}
@@ -564,6 +598,8 @@ func (t *Table) swapMain(st *mergeState, b *builtMain) error {
 // against online-merged tables. It refuses to run while an online merge
 // is in flight.
 func (t *Table) MergeOffline() error {
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.merging || t.frozen != nil {
@@ -576,7 +612,7 @@ func (t *Table) MergeOffline() error {
 		if !t.mainVersions.Visible(row, snapshot, 0) {
 			continue
 		}
-		tuple, err := t.tupleLocked(uint64(row))
+		tuple, err := t.tupleLocked(&led, uint64(row))
 		if err != nil {
 			return fmt.Errorf("table %s: merge read main row %d: %w", t.name, row, err)
 		}
@@ -590,7 +626,7 @@ func (t *Table) MergeOffline() error {
 		rows = append(rows, tuple)
 	}
 
-	parts, err := t.buildMainParts(t.layout, rows)
+	parts, err := t.buildMainParts(&led, t.layout, rows)
 	if err != nil {
 		return err
 	}
@@ -618,16 +654,23 @@ func (t *Table) MergeOffline() error {
 
 	// Rebuild indexes over the new main partition.
 	for col := range t.indexes {
-		if err := t.buildIndexLocked(col); err != nil {
+		if err := t.buildIndexLocked(&led, col); err != nil {
 			return err
 		}
 	}
 	for _, idx := range t.composites {
-		if err := t.buildCompositeLocked(idx.cols); err != nil {
+		if err := t.buildCompositeLocked(&led, idx.cols); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// endMergeLocked marks the in-flight online merge finished and wakes
+// merges waiting to join it; caller holds t.mu.
+func (t *Table) endMergeLocked() {
+	t.merging = false
+	t.mergeDone.Broadcast()
 }
 
 // Merging reports whether an online merge is between freeze and swap.

@@ -6,6 +6,7 @@ import (
 
 	"tierdb/internal/histogram"
 	"tierdb/internal/schema"
+	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
 
@@ -128,7 +129,7 @@ func BenchmarkMergeRebuild(b *testing.B) {
 	layout := []bool{true, false, false}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, err := tbl.buildMainParts(layout, data)
+		parts, err := tbl.buildMainParts(&storage.Ledger{}, layout, data)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 
 	"tierdb/internal/delta"
 	"tierdb/internal/mvcc"
+	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
 
@@ -42,6 +43,8 @@ func (t *Table) ReplayInsert(row []value.Value, ts mvcc.Timestamp) error {
 // any one of them is the multiset-correct choice. Recovery is
 // single-threaded, so the scan-then-stamp is not racy.
 func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for row := 0; row < t.mainRows; row++ {
@@ -49,12 +52,13 @@ func (t *Table) ReplayDelete(tuple []value.Value, ts mvcc.Timestamp) error {
 		if !liveCommitted(st) {
 			continue
 		}
-		got, err := t.tupleLocked(RowID(row))
+		got, err := t.tupleLocked(&led, RowID(row))
 		if err != nil {
 			return fmt.Errorf("table %s: replay delete: %w", t.name, err)
 		}
 		if rowsEqual(got, tuple) {
 			t.mainVersions.SetEnd(row, ts)
+			t.mainDeleted.Store(true)
 			return nil
 		}
 	}

@@ -11,6 +11,7 @@ package table
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"tierdb/internal/amm"
 	"tierdb/internal/bptree"
@@ -82,16 +83,18 @@ type Table struct {
 	groupIdx     []int // schema column -> field index within group, -1 if MRC
 	mainVersions *mvcc.Versions
 
-	delta      *delta.Partition          // active delta: all new writes land here
-	frozen     *delta.Partition          // merge input while a merge is in flight (nil otherwise)
-	frozenRows int                       // physical frozen rows, fixed at freeze
-	merging    bool                      // an online merge is between freeze and swap
-	epoch      *epoch                    // reclamation epoch owning the current SSCG's pages
-	indexes    map[int]*bptree.Tree      // main-partition indexes, always DRAM-resident
-	composites map[string]compositeIndex // multi-column indexes by canonical column list
-	distinct   []int                     // per-column distinct counts of the main partition
-	hists      []*histogram.Histogram    // per-column equi-depth histograms (may hold nils)
-	observed   []selEstimator            // per-column observed-selectivity EWMAs (lock-free)
+	delta       *delta.Partition          // active delta: all new writes land here
+	frozen      *delta.Partition          // merge input while a merge is in flight (nil otherwise)
+	frozenRows  int                       // physical frozen rows, fixed at freeze
+	merging     bool                      // an online merge is between freeze and swap
+	mergeDone   sync.Cond                 // on mu; broadcast when merging clears
+	mainDeleted atomic.Bool               // a main-row delete committed since the last freeze (set lock-free at commit)
+	epoch       *epoch                    // reclamation epoch owning the current SSCG's pages
+	indexes     map[int]*bptree.Tree      // main-partition indexes, always DRAM-resident
+	composites  map[string]compositeIndex // multi-column indexes by canonical column list
+	distinct    []int                     // per-column distinct counts of the main partition
+	hists       []*histogram.Histogram    // per-column equi-depth histograms (may hold nils)
+	observed    []selEstimator            // per-column observed-selectivity EWMAs (lock-free)
 
 	// Test-only synchronization points of the online merge; set before
 	// any merge starts, never under load.
@@ -142,6 +145,7 @@ func New(name string, s *schema.Schema, opts Options) (*Table, error) {
 		distinct:     make([]int, s.Len()),
 		observed:     make([]selEstimator, s.Len()),
 	}
+	t.mergeDone.L = &t.mu
 	t.delta.Observe(t.registry)
 	for i := range t.groupIdx {
 		t.groupIdx[i] = -1
@@ -159,8 +163,7 @@ func (t *Table) Schema() *schema.Schema { return t.schema }
 func (t *Table) Manager() *mvcc.Manager { return t.mgr }
 
 // Store returns the secondary storage device backing the table's SSCGs
-// (immutable after New). The parallel executor inspects it to fork
-// per-worker timed views for virtual-clock accounting.
+// (immutable after New). The executor settles its query ledgers on it.
 func (t *Table) Store() storage.Store { return t.store }
 
 // Delta exposes the active delta partition — the one receiving new
@@ -300,7 +303,10 @@ func (t *Table) Delete(tx *mvcc.Tx, id RowID) error {
 		if err := vers.MarkDelete(row, tx.ID()); err != nil {
 			return err
 		}
-		tx.OnCommit(func(ts mvcc.Timestamp) { vers.CommitDelete(row, ts) })
+		tx.OnCommit(func(ts mvcc.Timestamp) {
+			vers.CommitDelete(row, ts)
+			t.mainDeleted.Store(true)
+		})
 		tx.OnAbort(func() { vers.AbortDelete(row, tx.ID()) })
 		return nil
 	}
@@ -341,21 +347,18 @@ func (t *Table) Visible(id RowID, snapshot mvcc.Timestamp, self mvcc.TxID) bool 
 }
 
 // GetValue materializes one cell of a visible row (no visibility check).
+// Like every table-level read, the call counts its page reads in its own
+// ledger and settles it on the table's store when it returns.
 func (t *Table) GetValue(id RowID, col int) (value.Value, error) {
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.getValueLocked(id, col)
-}
-
-func (t *Table) getValueLocked(id RowID, col int) (value.Value, error) {
 	if col < 0 || col >= t.schema.Len() {
 		return value.Value{}, fmt.Errorf("table %s: column %d out of range", t.name, col)
 	}
 	if id < uint64(t.mainRows) {
-		if mrc := t.mrcs[col]; mrc != nil {
-			return mrc.Get(int(id))
-		}
-		return t.group.ReadField(int(id), t.groupIdx[col])
+		return t.mainValueLocked(&led, int(id), col)
 	}
 	pos := int(id - uint64(t.mainRows))
 	if t.frozen != nil {
@@ -371,6 +374,8 @@ func (t *Table) getValueLocked(id RowID, col int) (value.Value, error) {
 // dictionaries (two dependent DRAM accesses each); SSCG attributes
 // arrive with a single page access for the whole group.
 func (t *Table) GetTuple(id RowID) ([]value.Value, error) {
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if id >= uint64(t.mainRows) {
@@ -383,46 +388,31 @@ func (t *Table) GetTuple(id RowID) ([]value.Value, error) {
 		}
 		return t.delta.GetRow(pos)
 	}
-	out := make([]value.Value, t.schema.Len())
-	if t.group != nil {
-		groupRow, err := t.group.ReadRow(int(id))
-		if err != nil {
-			return nil, err
-		}
-		for col, gi := range t.groupIdx {
-			if gi >= 0 {
-				out[col] = groupRow[gi]
-			}
-		}
-	}
-	for col, mrc := range t.mrcs {
-		if mrc != nil {
-			v, err := mrc.Get(int(id))
-			if err != nil {
-				return nil, err
-			}
-			out[col] = v
-		}
-	}
-	return out, nil
+	return t.tupleLocked(&led, id)
 }
+
+// charge settles a finished ledger of table-level work (a lookup, an
+// index build, a merge) on the table's store.
+func (t *Table) charge(led *storage.Ledger) { storage.Charge(t.store, *led) }
 
 // CreateIndex builds a DRAM-resident B+-tree index over the main
 // partition of the given column (indexes are never evicted, paper
 // Section IV). It is rebuilt by Merge.
 func (t *Table) CreateIndex(col int) error {
+	var led storage.Ledger
+	defer t.charge(&led)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.buildIndexLocked(col)
+	return t.buildIndexLocked(&led, col)
 }
 
-func (t *Table) buildIndexLocked(col int) error {
+func (t *Table) buildIndexLocked(led *storage.Ledger, col int) error {
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("table %s: index column %d out of range", t.name, col)
 	}
 	tree := bptree.New(t.schema.Field(col).Type)
 	for row := 0; row < t.mainRows; row++ {
-		v, err := t.mainValueLocked(row, col)
+		v, err := t.mainValueLocked(led, row, col)
 		if err != nil {
 			return fmt.Errorf("table %s: build index on %q: %w", t.name, t.schema.Field(col).Name, err)
 		}
@@ -439,11 +429,11 @@ func (t *Table) buildIndexLocked(col int) error {
 }
 
 // mainValueLocked reads one main-partition cell; caller holds t.mu.
-func (t *Table) mainValueLocked(row, col int) (value.Value, error) {
+func (t *Table) mainValueLocked(led *storage.Ledger, row, col int) (value.Value, error) {
 	if mrc := t.mrcs[col]; mrc != nil {
 		return mrc.Get(row)
 	}
-	return t.group.ReadField(row, t.groupIdx[col])
+	return t.group.ReadField(led, row, t.groupIdx[col])
 }
 
 // Index returns the main-partition index for col, or nil.
@@ -454,10 +444,10 @@ func (t *Table) Index(col int) *bptree.Tree {
 }
 
 // tupleLocked reconstructs a main-partition tuple; caller holds t.mu.
-func (t *Table) tupleLocked(id RowID) ([]value.Value, error) {
+func (t *Table) tupleLocked(led *storage.Ledger, id RowID) ([]value.Value, error) {
 	out := make([]value.Value, t.schema.Len())
 	if t.group != nil {
-		groupRow, err := t.group.ReadRow(int(id))
+		groupRow, err := t.group.FetchRow(led, int(id))
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"tierdb/internal/mvcc"
 	"tierdb/internal/schema"
 	"tierdb/internal/sscg"
+	"tierdb/internal/storage"
 	"tierdb/internal/value"
 )
 
@@ -48,6 +49,11 @@ func (e *epoch) release() {
 // reads. All referenced containers are replaced wholesale by writers,
 // never mutated in place, which is what makes the aliasing safe.
 //
+// A View also carries the pinning reader's Ledger: page reads made
+// through GetValue and GetTuple are counted there, and Release settles
+// whatever it still holds on the table's store. Like the View, the
+// ledger belongs to the goroutine that pinned it.
+//
 // The active delta is the one container shared with writers: it grows
 // while the View is pinned. activeRows bounds the View to the rows that
 // physically existed at pin time — later appends include merge-swap
@@ -68,6 +74,8 @@ type View struct {
 	active       *delta.Partition
 	activeRows   int
 	ep           *epoch
+	store        storage.Store
+	led          storage.Ledger
 }
 
 // Pin captures the table's current structure into a View and takes a
@@ -92,17 +100,25 @@ func (t *Table) Pin() *View {
 		active:       t.delta,
 		activeRows:   t.delta.Rows(),
 		ep:           t.epoch,
+		store:        t.store,
 	}
 }
 
-// Release drops the View's epoch reference; the View must not be used
-// afterwards. The last release of a retired epoch frees its SSCG pages.
+// Release settles the View's ledger and drops its epoch reference; the
+// View must not be used afterwards. The last release of a retired epoch
+// frees its SSCG pages.
 func (v *View) Release() {
 	if v.ep != nil {
+		storage.Charge(v.store, v.led)
+		v.led = storage.Ledger{}
 		v.ep.release()
 		v.ep = nil
 	}
 }
+
+// Ledger returns the View's ledger, for the pinning reader to count its
+// own page and DRAM work in and to settle before Release.
+func (v *View) Ledger() *storage.Ledger { return &v.led }
 
 // MainRows returns the number of main-partition rows in the snapshot.
 func (v *View) MainRows() int { return v.mainRows }
@@ -174,7 +190,7 @@ func (v *View) GetValue(id RowID, col int) (value.Value, error) {
 		if mrc := v.MRC(col); mrc != nil {
 			return mrc.Get(int(id))
 		}
-		return v.group.ReadField(int(id), v.groupIdx[col])
+		return v.group.ReadField(&v.led, int(id), v.groupIdx[col])
 	}
 	pos := int(id - uint64(v.mainRows))
 	if v.frozen != nil {
@@ -200,7 +216,7 @@ func (v *View) GetTuple(id RowID) ([]value.Value, error) {
 	}
 	out := make([]value.Value, v.schema.Len())
 	if v.group != nil {
-		groupRow, err := v.group.ReadRow(int(id))
+		groupRow, err := v.group.FetchRow(&v.led, int(id))
 		if err != nil {
 			return nil, err
 		}

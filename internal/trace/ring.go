@@ -2,85 +2,27 @@ package trace
 
 import (
 	"sort"
-	"sync/atomic"
+
+	"tierdb/internal/metrics"
 )
 
-// Ring is a bounded lock-free ring of completed spans, the span layer's
-// reuse of the metrics.TraceRing idiom: writers claim a slot with one
-// atomic add and publish with one atomic pointer store; older spans are
-// overwritten once the ring is full; readers get a point-in-time copy
-// via Snapshot. A nil *Ring is valid and records nothing.
-type Ring struct {
-	slots []atomic.Pointer[Span]
-	next  atomic.Uint64
-}
+// Ring is the bounded lock-free ring completed spans are published
+// into: the metrics package's generic ring over spans. A nil *Ring is
+// valid and records nothing.
+type Ring = metrics.Ring[Span]
 
 // NewRing builds a ring holding up to capacity spans (minimum 1).
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{slots: make([]atomic.Pointer[Span], capacity)}
+	return metrics.NewRing(capacity, func(s *Span) *uint64 { return &s.Seq })
 }
 
-// Add publishes s (stamping s.Seq), overwriting the oldest span once
-// the ring is full. No-op on a nil ring or span.
-func (r *Ring) Add(s *Span) {
-	if r == nil || s == nil {
-		return
-	}
-	seq := r.next.Add(1) - 1
-	s.Seq = seq
-	r.slots[seq%uint64(len(r.slots))].Store(s)
-}
-
-// Cap returns the ring's capacity (0 on nil).
-func (r *Ring) Cap() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.slots)
-}
-
-// Added returns the total number of spans ever published (0 on nil).
-func (r *Ring) Added() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next.Load()
-}
-
-// Snapshot returns the ring's current spans, newest first. Concurrent
-// writers may overwrite slots during the scan; each returned span is
-// still internally consistent (the pointer swap is atomic and spans are
-// immutable after publish), but the set may mix generations.
-func (r *Ring) Snapshot() []*Span {
-	if r == nil {
+// ByTrace returns all spans of one trace still present in r, ordered by
+// start time (ties broken by publish sequence so the order is total).
+func ByTrace(r *Ring, id TraceID) []*Span {
+	if id == 0 {
 		return nil
 	}
-	out := make([]*Span, 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq > out[b].Seq })
-	return out
-}
-
-// ByTrace returns all spans of one trace still present in the ring,
-// ordered by start time (ties broken by publish sequence so the order
-// is total).
-func (r *Ring) ByTrace(id TraceID) []*Span {
-	if r == nil || id == 0 {
-		return nil
-	}
-	var out []*Span
-	for i := range r.slots {
-		if s := r.slots[i].Load(); s != nil && s.Trace == id {
-			out = append(out, s)
-		}
-	}
+	out := r.Select(func(s *Span) bool { return s.Trace == id })
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].StartNs != out[b].StartNs {
 			return out[a].StartNs < out[b].StartNs

@@ -4,45 +4,74 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"tierdb/internal/metrics"
 )
 
-// checkSpans asserts the snapshot invariants that must survive
-// wrap-around under concurrent writers: at most Cap spans, newest
-// first, unique seqs, and no torn spans — every span's marker fields
-// (StartNs, EndNs, Name), all derived from one value at Add time, must
-// still agree when read back.
-func checkSpans(t *testing.T, spans []*Span, capacity int) {
-	t.Helper()
-	if len(spans) > capacity {
-		t.Fatalf("snapshot has %d spans, cap %d", len(spans), capacity)
-	}
-	seen := make(map[uint64]bool, len(spans))
-	for i, s := range spans {
-		if seen[s.Seq] {
-			t.Fatalf("duplicate seq %d in snapshot", s.Seq)
+// TestRingWraparoundConcurrent hammers small rings of both entry kinds —
+// completed spans and captured query traces — with many writers so the
+// publish sequence wraps many times, snapshotting throughout, then pins
+// the exact final window after a sequential tail. For spans it also
+// checks that ByTrace filters the same window, ordered by start time.
+func TestRingWraparoundConcurrent(t *testing.T) {
+	t.Run("spans", func(t *testing.T) {
+		r := NewRing(ringCap)
+		wraparound(t, r,
+			func(m int64) *Span { return &Span{Trace: 1, StartNs: m, EndNs: m, Name: fmt.Sprintf("m%d", m)} },
+			func(s *Span) bool { return s.EndNs == s.StartNs && s.Name == fmt.Sprintf("m%d", s.StartNs) },
+			func(s *Span) uint64 { return s.Seq })
+		byTrace := ByTrace(r, 1)
+		if len(byTrace) != ringCap {
+			t.Fatalf("ByTrace returned %d spans, want %d", len(byTrace), ringCap)
 		}
-		seen[s.Seq] = true
-		if i > 0 && spans[i-1].Seq <= s.Seq {
-			t.Fatalf("snapshot not newest-first: seq %d before %d", spans[i-1].Seq, s.Seq)
+		for i := 1; i < len(byTrace); i++ {
+			if byTrace[i-1].StartNs > byTrace[i].StartNs {
+				t.Fatalf("ByTrace not start-ordered at %d", i)
+			}
 		}
-		if s.EndNs != s.StartNs || s.Name != fmt.Sprintf("m%d", s.StartNs) {
-			t.Fatalf("torn span: seq %d start %d end %d name %q", s.Seq, s.StartNs, s.EndNs, s.Name)
-		}
-	}
+	})
+	t.Run("trace entries", func(t *testing.T) {
+		wraparound(t, metrics.NewTraceRing(ringCap),
+			func(m int64) *metrics.TraceEntry {
+				return &metrics.TraceEntry{UnixNano: m, WallNs: m, Err: fmt.Sprintf("m%d", m)}
+			},
+			func(e *metrics.TraceEntry) bool {
+				return e.WallNs == e.UnixNano && e.Err == fmt.Sprintf("m%d", e.UnixNano)
+			},
+			func(e *metrics.TraceEntry) uint64 { return e.Seq })
+	})
 }
 
-// TestRingWraparoundConcurrent hammers a small span ring with many
-// writers so the publish sequence wraps many times, snapshotting
-// throughout, then pins the exact final window after a sequential tail.
-func TestRingWraparoundConcurrent(t *testing.T) {
+const ringCap = 8
+
+// wraparound drives one ring through the wrap-around scenario. mk builds
+// an entry whose marker fields all derive from one value; intact reports
+// whether a read-back entry's markers still agree (no torn entry); seq
+// reads the sequence number Add stamped. Every snapshot must hold at
+// most Cap entries, newest first, with unique seqs and no torn entries.
+func wraparound[T any](t *testing.T, r *metrics.Ring[T], mk func(int64) *T, intact func(*T) bool, seq func(*T) uint64) {
 	const (
-		capacity = 8
-		writers  = 8
-		perW     = 400
+		writers = 8
+		perW    = 400
 	)
-	r := NewRing(capacity)
-	add := func(marker int64) {
-		r.Add(&Span{Trace: 1, StartNs: marker, EndNs: marker, Name: fmt.Sprintf("m%d", marker)})
+	check := func(entries []*T) {
+		t.Helper()
+		if len(entries) > ringCap {
+			t.Fatalf("snapshot has %d entries, cap %d", len(entries), ringCap)
+		}
+		seen := make(map[uint64]bool, len(entries))
+		for i, e := range entries {
+			if seen[seq(e)] {
+				t.Fatalf("duplicate seq %d in snapshot", seq(e))
+			}
+			seen[seq(e)] = true
+			if i > 0 && seq(entries[i-1]) <= seq(e) {
+				t.Fatalf("snapshot not newest-first: seq %d before %d", seq(entries[i-1]), seq(e))
+			}
+			if !intact(e) {
+				t.Fatalf("torn entry at seq %d: %+v", seq(e), e)
+			}
+		}
 	}
 
 	done := make(chan struct{})
@@ -57,7 +86,7 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				checkSpans(t, r.Snapshot(), capacity)
+				check(r.Snapshot())
 			}
 		}()
 	}
@@ -67,7 +96,7 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perW; i++ {
-				add(int64(w*perW + i))
+				r.Add(mk(int64(w*perW + i)))
 			}
 		}(w)
 	}
@@ -81,30 +110,20 @@ func TestRingWraparoundConcurrent(t *testing.T) {
 	// A slow writer can be the last to store into a slot even though a
 	// later seq already landed there, so the concurrent phase only
 	// guarantees uniqueness and coherence. A sequential tail of Cap
-	// spans deterministically owns every slot: the snapshot must then
+	// entries deterministically owns every slot: the snapshot must then
 	// be exactly the last Cap seqs, descending.
-	for i := 0; i < capacity; i++ {
-		add(int64(writers*perW + i))
+	for i := 0; i < ringCap; i++ {
+		r.Add(mk(int64(writers*perW + i)))
 	}
 	final := r.Snapshot()
-	checkSpans(t, final, capacity)
-	if len(final) != capacity {
-		t.Fatalf("final snapshot has %d spans, want %d", len(final), capacity)
+	check(final)
+	if len(final) != ringCap {
+		t.Fatalf("final snapshot has %d entries, want %d", len(final), ringCap)
 	}
 	added := r.Added()
-	for i, s := range final {
-		if want := added - 1 - uint64(i); s.Seq != want {
-			t.Fatalf("final[%d].Seq = %d, want %d", i, s.Seq, want)
-		}
-	}
-	// ByTrace sees the same window, ordered by start time.
-	byTrace := r.ByTrace(1)
-	if len(byTrace) != capacity {
-		t.Fatalf("ByTrace returned %d spans, want %d", len(byTrace), capacity)
-	}
-	for i := 1; i < len(byTrace); i++ {
-		if byTrace[i-1].StartNs > byTrace[i].StartNs {
-			t.Fatalf("ByTrace not start-ordered at %d", i)
+	for i, e := range final {
+		if want := added - 1 - uint64(i); seq(e) != want {
+			t.Fatalf("final[%d].Seq = %d, want %d", i, seq(e), want)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Package trace is tierdb's lightweight distributed-tracing layer: a
 // span model (trace/span IDs, parent links, start/end nanoseconds,
 // typed attributes) with context.Context propagation and a race-safe
-// bounded span ring reusing the lock-free TraceRing idiom from
-// internal/metrics.
+// bounded span ring: the same lock-free generic ring internal/metrics
+// keeps query traces in.
 //
 // The design optimizes for the unsampled path: the sampling decision is
 // made once, when a root span would be created, and an unsampled trace

@@ -51,7 +51,7 @@ func TestSpanLifecycle(t *testing.T) {
 	if root.EndNs < root.StartNs {
 		t.Fatal("end before start")
 	}
-	spans := tr.Ring().ByTrace(root.Trace)
+	spans := ByTrace(tr.Ring(), root.Trace)
 	if len(spans) != 2 {
 		t.Fatalf("ring holds %d spans, want 2", len(spans))
 	}
@@ -82,7 +82,7 @@ func TestNilSafety(t *testing.T) {
 	if tr.StartRemote(5, 0, "r") != nil {
 		t.Fatal("nil tracer StartRemote sampled")
 	}
-	if tr.Ring().Snapshot() != nil || tr.Ring().ByTrace(1) != nil {
+	if tr.Ring().Snapshot() != nil || ByTrace(tr.Ring(), 1) != nil {
 		t.Fatal("nil ring returned spans")
 	}
 	tr.SetOnEnd(func(*Span) {})
@@ -137,7 +137,7 @@ func TestStartRemoteContinuesTrace(t *testing.T) {
 		t.Fatalf("remote span links = %+v", s)
 	}
 	s.End()
-	if got := tr.Ring().ByTrace(42); len(got) != 1 {
+	if got := ByTrace(tr.Ring(), 42); len(got) != 1 {
 		t.Fatalf("ring holds %d spans", len(got))
 	}
 	if tr.StartRemote(0, 0, "x") != nil {
@@ -253,7 +253,7 @@ func TestBuildTreeAndSlowestPath(t *testing.T) {
 	srv.EndAt(srv.StartNs + 2000)
 	root.EndAt(srv.StartNs + 3000)
 
-	spans := tr.Ring().ByTrace(root.Trace)
+	spans := ByTrace(tr.Ring(), root.Trace)
 	roots := BuildTree(spans)
 	if len(roots) != 1 || roots[0].Span != root {
 		t.Fatalf("tree roots = %d", len(roots))

@@ -11,9 +11,9 @@ import (
 // ErrClosed is returned by merge requests after DB.Close.
 var ErrClosed = errors.New("tierdb: database closed")
 
-// ErrMergeInProgress is returned by Table.Merge when another online
-// merge of the same table is already in flight (for example one the
-// scheduler started); the caller can retry once it drains.
+// ErrMergeInProgress is the table layer's refusal to run the blocking
+// offline merge beside an online one. Table.Merge, BulkLoad and
+// ApplyLayout never return it: they join an in-flight merge instead.
 var ErrMergeInProgress = table.ErrMergeInProgress
 
 // DefaultMergeInterval is the merge scheduler's poll cadence when
@@ -29,9 +29,9 @@ const DefaultMergeInterval = 100 * time.Millisecond
 // merge never stalls the workload it is cleaning up after.
 //
 // All merges run on the scheduler goroutine, one at a time; the table
-// layer would reject overlap per table anyway (ErrMergeInProgress), and
-// serializing across tables keeps the background DRAM spike to one
-// shadow main.
+// layer serializes overlapping merges of one table anyway (a second
+// merge waits for the first), and serializing across tables keeps the
+// background DRAM spike to one shadow main.
 type mergeScheduler struct {
 	db       *DB
 	interval time.Duration
@@ -104,19 +104,23 @@ func (s *mergeScheduler) due(t *Table) bool {
 	return s.bytes > 0 && t.inner.DeltaBytes() >= s.bytes
 }
 
-// merge folds one table's delta. A concurrent manual merge is fine
-// (ErrMergeInProgress); real failures are already counted by the
-// table's merge.failures instrument and will be retried on the next
-// sweep, which resumes from the still-frozen delta. After a successful
+// merge folds one table's delta, after any merge already in flight on
+// it. A request an earlier merge has already served (HasMergeWork is
+// false) is skipped, checkpoint included: stale queued requests would
+// otherwise keep checkpointing an unchanged table in the background.
+// Failures are already counted by the table's
+// merge.failures instrument and will be retried on the next sweep,
+// which resumes from the still-frozen delta. After a successful
 // scheduled merge the database checkpoints: the merged state lands in
 // durable snapshots and the write-ahead log truncates, so recovery
 // replays only the tail written since — the paper's tiered layouts keep
 // that snapshot-decode cost proportional to the MRC share.
 func (s *mergeScheduler) merge(t *Table) {
+	if !t.inner.HasMergeWork() {
+		return
+	}
 	if err := t.inner.Merge(); err != nil {
-		if !errors.Is(err, table.ErrMergeInProgress) {
-			s.db.log.Warn("scheduled merge failed", "table", t.Name(), "err", err)
-		}
+		s.db.log.Warn("scheduled merge failed", "table", t.Name(), "err", err)
 		return
 	}
 	if s.db.wal != nil {
@@ -137,7 +141,8 @@ func (s *mergeScheduler) shutdown() {
 
 // MergeAsync queues a background online merge of the table's delta and
 // returns immediately; the merge scheduler performs the fold while
-// readers and writers proceed. Returns ErrClosed after DB.Close.
+// readers and writers proceed, and skips it if an earlier merge has left
+// nothing to do. Returns ErrClosed after DB.Close.
 func (t *Table) MergeAsync() error {
 	// Check stop on its own first: the trigger channel is buffered, so
 	// a combined select could accept the send after Close.

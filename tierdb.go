@@ -247,7 +247,6 @@ type DB struct {
 	store    storage.Store
 	cache    *amm.Cache
 	profile  device.Profile
-	threads  int
 	parallel int
 	registry *metrics.Registry
 	tables   map[string]*Table
@@ -320,7 +319,6 @@ func Open(cfg Config) (*DB, error) {
 		store:    timed,
 		cache:    cache,
 		profile:  profile,
-		threads:  cfg.Threads,
 		parallel: cfg.Parallelism,
 		registry: registry,
 		tables:   make(map[string]*Table),
@@ -421,8 +419,9 @@ func (db *DB) Registry() *metrics.Registry { return db.registry }
 // metrics are disabled.
 func (db *DB) Stats() StatsSnapshot { return db.registry.Snapshot() }
 
-// Clock returns the virtual clock accumulating modeled device and DRAM
-// time; experiment harnesses report its Elapsed as "measured" runtime.
+// Clock returns the virtual clock: the sum of every priced ledger the
+// engine settled — queries, lookups and merges, page writes included.
+// Experiment harnesses report its Elapsed as "measured" runtime.
 func (db *DB) Clock() *storage.Clock { return db.clock }
 
 // Device returns the configured device profile.
@@ -487,7 +486,6 @@ func (db *DB) CreateTable(name string, fields []Field) (*Table, error) {
 func newExecutor(db *DB, inner *table.Table) *exec.Executor {
 	return exec.New(inner, exec.Options{
 		Clock:              db.clock,
-		Threads:            db.threads,
 		Parallelism:        db.parallel,
 		Registry:           db.registry,
 		TraceRing:          db.recent,

@@ -106,7 +106,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	// --- the select trace: client → server → exec with operator children.
-	sel := ring.ByTrace(selectTrace)
+	sel := trace.ByTrace(ring, selectTrace)
 	byName := spansByName(sel)
 	for _, name := range []string{"client.send", "server.request", "server.admission", "server.engine", "exec.query"} {
 		if len(byName[name]) != 1 {
@@ -133,7 +133,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	assertClockSanity(t, sel)
 
 	// --- the insert trace: the WAL commit is a traced child.
-	ins := ring.ByTrace(insertTrace)
+	ins := trace.ByTrace(ring, insertTrace)
 	insNames := spansByName(ins)
 	if len(insNames["wal.commit"]) != 1 {
 		t.Fatalf("insert trace: want 1 wal.commit span, got %d", len(insNames["wal.commit"]))
